@@ -19,6 +19,7 @@ from .instances import (
     instance_json,
     parse_frac,
     parse_instance,
+    parse_list,
     value_json,
     verdict_json,
 )
@@ -99,10 +100,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_reduce(args: argparse.Namespace) -> int:
     fs, ps, sp, _ = parse_instance(_read_json(args.instance))
     strictness = "stable" if args.strict else "semi"
-    verdict = decide_destabilizing(fs, ps, sp, strictness)
-    if not verdict.violated:
-        print("instance does not violate; nothing to reduce", file=sys.stderr)
-        return EXIT_ERROR
     subset, witness, trace = reduce_destabilizer(fs, ps, sp, strictness)
     _emit(
         {
@@ -144,11 +141,8 @@ def cmd_comb(args: argparse.Namespace) -> int:
 def _parse_tensor(obj: Any, delta_override: Optional[Fraction]) -> p1.P1Tensor:
     if not isinstance(obj, dict):
         raise InstanceError("tensor file must be a JSON object")
-    try:
-        degrees = tuple(int(d) for d in obj["degrees"])
-        support = [tuple(int(i) for i in m) for m in obj["support"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InstanceError(f"invalid tensor data: {exc}") from exc
+    degrees = parse_list(obj.get("degrees"), "degrees")
+    support = parse_list(obj.get("support"), "support", parse_list)
     delta = delta_override if delta_override is not None else parse_frac(obj.get("delta", "1"))
     return p1.P1Tensor.make(degrees, support, delta)
 

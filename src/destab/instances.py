@@ -7,7 +7,7 @@ strings with the constant term first.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .model import FiltrationSpec, InstanceError, SheafData, StabilityParam
 from .pivots import PivotSet
@@ -46,14 +46,25 @@ def value_json(value: Value) -> Any:
     return frac_str(value)
 
 
+def parse_int(value: Any, path: str) -> int:
+    """A JSON integer, never a boolean or a float; errors name the value's JSON path."""
+    if type(value) is not int:  # a bool is an int subclass, so it fails too
+        raise InstanceError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def parse_list(value: Any, path: str, item: Callable[[Any, str], Any] = parse_int) -> tuple:
+    """A JSON list with every entry read by `item` under its own JSON path."""
+    if not isinstance(value, list):
+        raise InstanceError(f"{path}: expected a list, got {value!r}")
+    return tuple(item(v, f"{path}[{k}]") for k, v in enumerate(value))
+
+
 def _parse_sheaf(obj: Any, where: str) -> SheafData:
     if not isinstance(obj, dict):
         raise InstanceError(f"{where}: expected an object")
-    try:
-        rank = int(obj["rank"])
-        degree = int(obj["degree"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InstanceError(f"{where}: rank and degree must be integers: {exc}") from exc
+    rank = parse_int(obj.get("rank"), f"{where}.rank")
+    degree = parse_int(obj.get("degree"), f"{where}.degree")
     hilbert = parse_poly(obj["hilbert"]) if "hilbert" in obj else None
     return SheafData(rank=rank, degree=degree, hilbert=hilbert)
 
@@ -66,11 +77,8 @@ def parse_instance(
     mode = obj.get("mode", "slope")
     if mode not in ("slope", "hilbert"):
         raise InstanceError(f"mode must be 'slope' or 'hilbert', got {mode!r}")
-    try:
-        arity = int(obj["arity"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InstanceError(f"arity: {exc}") from exc
-    multiplicity = int(obj.get("multiplicity", 1))
+    arity = parse_int(obj.get("arity"), "arity")
+    multiplicity = parse_int(obj.get("multiplicity", 1), "multiplicity")
     total = _parse_sheaf(obj.get("total"), "total")
     steps_raw = obj.get("steps", [])
     if not isinstance(steps_raw, list):
@@ -87,11 +95,7 @@ def parse_instance(
     pivots_raw = obj.get("pivots")
     if not isinstance(pivots_raw, list) or not pivots_raw:
         raise InstanceError("pivots must be a nonempty list of integer tuples")
-    try:
-        tuples = [tuple(int(c) for c in p) for p in pivots_raw]
-    except (TypeError, ValueError) as exc:
-        raise InstanceError(f"pivots: {exc}") from exc
-    ps = PivotSet.from_tuples(tuples, t=fs.t, arity=arity)
+    ps = PivotSet.from_tuples(parse_list(pivots_raw, "pivots", parse_list), t=fs.t, arity=arity)
 
     weights: Optional[Weights] = None
     if obj.get("weights") is not None:

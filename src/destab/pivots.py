@@ -85,10 +85,6 @@ class PivotSet:
         return PivotSet(t=t, arity=arity, pivots=tuple(sorted(maximal)))
 
 
-def normalize_pivots(raw: Iterable[Tuple_], t: int, arity: int) -> PivotSet:
-    return PivotSet.from_tuples(raw, t, arity)
-
-
 def matrix_from_pivots(ps: PivotSet) -> dict[Tuple_, int]:
     """Full 0/1 table: 1 at every tuple lying below some pivot."""
     return {

@@ -22,7 +22,7 @@ from .model import (
 )
 from .pivots import PivotSet, Tuple_, matrix_from_pivots, project_pivots
 from .poly import UniPoly, poly_cmp
-from .polytope import Row, enumerate_vertices, make_row
+from .polytope import enumerate_vertices, make_row
 
 Value = Union[Fraction, UniPoly]
 Weights = tuple[Fraction, ...]
@@ -45,8 +45,10 @@ def _value_lt(sp: StabilityParam, u: Value, v: Value) -> bool:
     return poly_cmp(u, v) < 0
 
 
-def _check_instance(fs: FiltrationSpec, ps: PivotSet, w: Optional[Weights] = None) -> None:
-    if ps.t != fs.t or ps.arity != fs.arity:
+def _check_instance(
+    fs: FiltrationSpec, ps: Optional[PivotSet], w: Optional[Weights] = None
+) -> None:
+    if ps is not None and (ps.t != fs.t or ps.arity != fs.arity):
         raise InstanceError(
             f"pivot set over t={ps.t}, arity={ps.arity} does not match "
             f"filtration with t={fs.t}, arity={fs.arity}"
@@ -78,18 +80,13 @@ def constants(fs: FiltrationSpec, sp: StabilityParam) -> list[Value]:
 
 def gamma_vector(fs: FiltrationSpec, w: Weights) -> tuple[Fraction, ...]:
     """Rank-indexed weight profile of the filtration: nondecreasing, zero-sum."""
-    _check_instance_sizes(fs, w)
+    _check_instance(fs, None, w)
     r = fs.total.rank
     gamma = [Fraction(0)] * r
     for alpha, st in zip(w, fs.steps):
         for pos in range(r):
             gamma[pos] += alpha * ((st.rank - r) if pos < st.rank else st.rank)
     return tuple(gamma)
-
-
-def _check_instance_sizes(fs: FiltrationSpec, w: Weights) -> None:
-    if len(w) != fs.s:
-        raise InstanceError(f"expected {fs.s} weights, got {len(w)}")
 
 
 def _pivot_coeffs(ps: PivotSet, s: int) -> dict[Tuple_, tuple[int, ...]]:
@@ -157,18 +154,20 @@ def is_critical(fs: FiltrationSpec, ps: PivotSet, w: Weights) -> bool:
     return total != parts
 
 
-def objective(fs: FiltrationSpec, ps: PivotSet, w: Weights, sp: StabilityParam) -> Value:
-    """Exact stability value of the weighted filtration."""
-    _check_instance(fs, ps, w)
-    cs = constants(fs, sp)
-    rmax, _ = r_value(fs, ps, w)
-    r = fs.total.rank
+def _value(sp: StabilityParam, cs: Sequence[Value], r: int, w: Weights, rmax: Fraction) -> Value:
+    """Stability value sum_i w_i c_i + r * delta * rmax."""
     if sp.mode == "slope":
         return sum((alpha * c for alpha, c in zip(w, cs)), Fraction(0)) + r * sp.slope_value * rmax
     total = UniPoly.zero()
     for alpha, c in zip(w, cs):
         total = total + c.scale(alpha)
     return total + sp.hilbert_value.scale(r * rmax)
+
+
+def objective(fs: FiltrationSpec, ps: PivotSet, w: Weights, sp: StabilityParam) -> Value:
+    """Exact stability value of the weighted filtration."""
+    _check_instance(fs, ps, w)
+    return _value(sp, constants(fs, sp), fs.total.rank, w, r_value(fs, ps, w)[0])
 
 
 def k_of_level(ps: PivotSet, level: int) -> int:
@@ -207,6 +206,32 @@ class CheckVerdict:
     boundary_support: Optional[tuple[int, ...]] = None
 
 
+def _regions(
+    fs: FiltrationSpec, ps: PivotSet, sp: StabilityParam
+) -> list[tuple[Tuple_, list[tuple[Weights, Value]]]]:
+    """Vertices of each pivot p's region (where p attains r_value) with their exact
+    values; there the value is linear, with g_p . w in place of the maximum."""
+    cs = constants(fs, sp)
+    _check_instance(fs, ps)
+    s, r = fs.s, fs.total.rank
+    coeffs = _pivot_coeffs(ps, s)
+    simplex_eq = [make_row([1] * s, 1)]
+    nonneg = [make_row([1 if j == i else 0 for j in range(s)], 0) for i in range(s)]
+    out = []
+    for p in ps.pivots:
+        region_rows = [
+            make_row([xa - xb for xa, xb in zip(coeffs[p], coeffs[q])], 0)
+            for q in ps.pivots
+            if q != p
+        ]
+        points = []
+        for v in enumerate_vertices(simplex_eq, nonneg + region_rows, s):
+            rmax = sum((x * alpha for x, alpha in zip(coeffs[p], v)), Fraction(0))
+            points.append((v, _value(sp, cs, r, v, rmax)))
+        out.append((p, points))
+    return out
+
+
 def decide_destabilizing(
     fs: FiltrationSpec, ps: PivotSet, sp: StabilityParam, strictness: str = "semi"
 ) -> CheckVerdict:
@@ -220,52 +245,25 @@ def decide_destabilizing(
     """
     if strictness not in ("semi", "stable"):
         raise InstanceError(f"unknown strictness {strictness!r}")
-    validate_filtration(fs)
-    require_mode(fs, sp)
-    _check_instance(fs, ps)
-    s = fs.s
-    if s < 1:
+    regions = _regions(fs, ps, sp)
+    if fs.s < 1:
         raise InstanceError("filtration has no steps")
-    cs = constants(fs, sp)
-    r = fs.total.rank
-    coeffs = _pivot_coeffs(ps, s)
-    simplex_eq = [make_row([1] * s, 1)]
-    nonneg = [make_row([1 if j == i else 0 for j in range(s)], 0) for i in range(s)]
-
-    def region_objective(p: Tuple_, point: Weights) -> Value:
-        rmax = sum((x * alpha for x, alpha in zip(coeffs[p], point)), Fraction(0))
-        if sp.mode == "slope":
-            return (
-                sum((alpha * c for alpha, c in zip(point, cs)), Fraction(0))
-                + r * sp.slope_value * rmax
-            )
-        total = UniPoly.zero()
-        for alpha, c in zip(point, cs):
-            total = total + c.scale(alpha)
-        return total + sp.hilbert_value.scale(r * rmax)
 
     best_value: Optional[Value] = None
     best_vertices: list[Weights] = []
     best_pivot: Optional[Tuple_] = None
     interior_witness: Optional[Weights] = None
 
-    for p in ps.pivots:
-        region_rows: list[Row] = [
-            make_row([xa - xb for xa, xb in zip(coeffs[p], coeffs[q])], 0)
-            for q in ps.pivots
-            if q != p
-        ]
-        vertices = enumerate_vertices(simplex_eq, nonneg + region_rows, s)
-        if not vertices:
+    for p, points in regions:
+        if not points:
             continue
-        values = [region_objective(p, v) for v in vertices]
-        region_min = values[0]
-        for val in values[1:]:
+        region_min = points[0][1]
+        for _, val in points[1:]:
             if _value_lt(sp, val, region_min):
                 region_min = val
         minimizers = [
             v
-            for v, val in zip(vertices, values)
+            for v, val in points
             if not _value_lt(sp, region_min, val) and not _value_lt(sp, val, region_min)
         ]
         if best_value is None or _value_lt(sp, region_min, best_value):
@@ -282,7 +280,7 @@ def decide_destabilizing(
         if not _value_lt(sp, best_value, region_min) and not _value_lt(sp, region_min, best_value):
             n = len(minimizers)
             centroid = tuple(
-                sum((v[i] for v in minimizers), Fraction(0)) / n for i in range(s)
+                sum((v[i] for v in minimizers), Fraction(0)) / n for i in range(fs.s)
             )
             if all(c > 0 for c in centroid):
                 interior_witness = centroid
@@ -321,25 +319,7 @@ def region_minima(
     fs: FiltrationSpec, ps: PivotSet, sp: StabilityParam
 ) -> list[tuple[Tuple_, list[tuple[Weights, Value]]]]:
     """Per-pivot region vertices with their objective values, for audit traces."""
-    validate_filtration(fs)
-    require_mode(fs, sp)
-    _check_instance(fs, ps)
-    s = fs.s
-    cs = constants(fs, sp)
-    r = fs.total.rank
-    coeffs = _pivot_coeffs(ps, s)
-    simplex_eq = [make_row([1] * s, 1)]
-    nonneg = [make_row([1 if j == i else 0 for j in range(s)], 0) for i in range(s)]
-    out = []
-    for p in ps.pivots:
-        region_rows = [
-            make_row([xa - xb for xa, xb in zip(coeffs[p], coeffs[q])], 0)
-            for q in ps.pivots
-            if q != p
-        ]
-        vertices = enumerate_vertices(simplex_eq, nonneg + region_rows, s)
-        out.append((p, [(v, objective(fs, ps, v, sp)) for v in vertices]))
-    return out
+    return _regions(fs, ps, sp)
 
 
 def reduce_destabilizer(

@@ -104,6 +104,45 @@ def test_reduce_rejects_non_violating_instance(tmp_path, capsys):
     code, _, err = run(capsys, ["reduce", write_json(tmp_path, PASSING_INSTANCE)])
     assert code == 2
     assert "nothing to reduce" in err
+    assert err.startswith("error: ")
+
+
+def _with_step_rank(rank):
+    steps = [dict(RANK6_INSTANCE["steps"][0], rank=rank)] + RANK6_INSTANCE["steps"][1:]
+    return dict(RANK6_INSTANCE, steps=steps)
+
+
+@pytest.mark.parametrize(
+    "instance, path",
+    [
+        (dict(RANK6_INSTANCE, arity=4.9), "arity"),
+        (dict(RANK6_INSTANCE, arity=True), "arity"),
+        (_with_step_rank(1.7), "steps[0].rank"),
+        (_with_step_rank(True), "steps[0].rank"),
+        (dict(RANK6_INSTANCE, multiplicity="1"), "multiplicity"),
+        (dict(RANK6_INSTANCE, pivots=["1144", [2, 2, 2, 4], [3, 3, 3, 3]]), "pivots[0]"),
+        (dict(RANK6_INSTANCE, pivots=[[1, 1, 4, 4], [2, 2, 2.0, 4]]), "pivots[1][2]"),
+    ],
+)
+@pytest.mark.parametrize("command", ["check", "reduce"])
+def test_non_integer_fields_are_rejected_by_path(tmp_path, capsys, instance, path, command):
+    code, out, err = run(capsys, [command, write_json(tmp_path, instance)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: expected ")
+
+
+@pytest.mark.parametrize(
+    "tensor, path",
+    [
+        ({"degrees": [-1, 0, 1.0], "support": [[1, 1, 1]]}, "degrees[2]"),
+        ({"degrees": [-1, 0, 1], "support": [[1, True, 1]]}, "support[0][1]"),
+        ({"degrees": [-1, 0, 1], "support": ["111"]}, "support[0]"),
+    ],
+)
+def test_p1_non_integer_fields_are_rejected_by_path(tmp_path, capsys, tensor, path):
+    code, _, err = run(capsys, ["p1", "check", write_json(tmp_path, tensor)])
+    assert code == 2
+    assert err.startswith(f"error: {path}: expected ")
 
 
 def test_comb_values(capsys):
