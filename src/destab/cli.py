@@ -54,14 +54,6 @@ def _emit(report: dict) -> None:
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def _value_violates(sp_mode: str, value, strictness: str) -> bool:
-    if sp_mode == "slope":
-        sgn = (value > 0) - (value < 0)
-    else:
-        sgn = 1 if value.leading > 0 else (-1 if value.leading < 0 else 0)
-    return sgn < 0 if strictness == "semi" else sgn <= 0
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     fs, ps, sp, weights = parse_instance(_read_json(args.instance))
     strictness = "stable" if args.strict else "semi"
@@ -75,7 +67,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         report["mu"] = frac_str(mu_via_pivots(fs, ps, weights))
         report["r_max"] = frac_str(rmax)
         report["attaining_pivot"] = list(pivot)
-        violated = _value_violates(sp.mode, value, strictness)
+        violated = value < 0 or (args.strict and not value > 0)
     else:
         verdict = decide_destabilizing(fs, ps, sp, strictness)
         report["verdict"] = verdict_json(verdict)
@@ -143,12 +135,13 @@ def _parse_tensor(obj: Any, delta_override: Optional[Fraction]) -> p1.P1Tensor:
         raise InstanceError("tensor file must be a JSON object")
     degrees = parse_list(obj.get("degrees"), "degrees")
     support = parse_list(obj.get("support"), "support", parse_list)
-    delta = delta_override if delta_override is not None else parse_frac(obj.get("delta", "1"))
-    return p1.P1Tensor.make(degrees, support, delta)
+    if delta_override is None:
+        delta_override = parse_frac(obj.get("delta", "1"), "delta")
+    return p1.P1Tensor.make(degrees, support, delta_override)
 
 
 def cmd_p1(args: argparse.Namespace) -> int:
-    delta = parse_frac(args.delta) if args.delta is not None else None
+    delta = parse_frac(args.delta, "--delta") if args.delta is not None else None
     if args.p1_cmd == "check":
         tensor = _parse_tensor(_read_json(args.tensor), delta)
         verdict = p1.is_semistable_p1(tensor, "stable" if args.strict else "semi")

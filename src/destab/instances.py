@@ -17,23 +17,25 @@ from .stability import CheckVerdict, Value
 Weights = tuple[Fraction, ...]
 
 
-def parse_frac(text: Any) -> Fraction:
+def parse_frac(text: Any, path: str) -> Fraction:
+    """A rational string or a JSON integer; errors name the value's JSON path."""
     if isinstance(text, bool) or not isinstance(text, (str, int)):
-        raise InstanceError(f"expected a rational string, got {text!r}")
+        raise InstanceError(f"{path}: expected a rational string, got {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceError(f"invalid rational {text!r}: {exc}") from exc
+        raise InstanceError(f"{path}: invalid rational {text!r}: {exc}") from exc
 
 
 def frac_str(value: Fraction) -> str:
     return str(value)
 
 
-def parse_poly(coeffs: Any) -> UniPoly:
+def parse_poly(coeffs: Any, path: str) -> UniPoly:
+    """A list of rational coefficients, constant term first."""
     if not isinstance(coeffs, list):
-        raise InstanceError(f"expected a coefficient list, got {coeffs!r}")
-    return UniPoly.from_coeffs([parse_frac(c) for c in coeffs])
+        raise InstanceError(f"{path}: expected a coefficient list, got {coeffs!r}")
+    return UniPoly.from_coeffs(parse_frac(c, f"{path}[{k}]") for k, c in enumerate(coeffs))
 
 
 def poly_list(poly: UniPoly) -> list[str]:
@@ -65,7 +67,7 @@ def _parse_sheaf(obj: Any, where: str) -> SheafData:
         raise InstanceError(f"{where}: expected an object")
     rank = parse_int(obj.get("rank"), f"{where}.rank")
     degree = parse_int(obj.get("degree"), f"{where}.degree")
-    hilbert = parse_poly(obj["hilbert"]) if "hilbert" in obj else None
+    hilbert = parse_poly(obj["hilbert"], f"{where}.hilbert") if "hilbert" in obj else None
     return SheafData(rank=rank, degree=degree, hilbert=hilbert)
 
 
@@ -88,9 +90,9 @@ def parse_instance(
 
     delta = obj.get("delta")
     if mode == "slope":
-        sp = StabilityParam.slope(parse_frac(delta))
+        sp = StabilityParam.slope(parse_frac(delta, "delta"))
     else:
-        sp = StabilityParam.hilbert(parse_poly(delta))
+        sp = StabilityParam.hilbert(parse_poly(delta, "delta"))
 
     pivots_raw = obj.get("pivots")
     if not isinstance(pivots_raw, list) or not pivots_raw:
@@ -101,7 +103,7 @@ def parse_instance(
     if obj.get("weights") is not None:
         if not isinstance(obj["weights"], list):
             raise InstanceError("weights must be a list of rational strings")
-        weights = tuple(parse_frac(w) for w in obj["weights"])
+        weights = parse_list(obj["weights"], "weights", parse_frac)
         if any(w <= 0 for w in weights):
             raise InstanceError("weights must be strictly positive")
     return fs, ps, sp, weights
@@ -123,9 +125,7 @@ def instance_json(
         "multiplicity": fs.multiplicity,
         "total": _sheaf_json(fs.total),
         "steps": [_sheaf_json(st) for st in fs.steps],
-        "delta": frac_str(sp.slope_value)
-        if sp.mode == "slope"
-        else poly_list(sp.hilbert_value),
+        "delta": value_json(sp.delta),
         "pivots": [list(p) for p in ps.pivots],
     }
     if weights is not None:

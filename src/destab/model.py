@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .poly import UniPoly
 
@@ -29,24 +29,23 @@ class SheafData:
 
 @dataclass(frozen=True)
 class StabilityParam:
-    """Either a positive rational slope parameter or a polynomial one."""
+    """A positive rational (slope mode) or asymptotically positive polynomial."""
 
     mode: str  # "slope" | "hilbert"
-    slope_value: Optional[Fraction] = None
-    hilbert_value: Optional[UniPoly] = None
+    delta: Union[Fraction, UniPoly]
 
     @staticmethod
     def slope(value) -> "StabilityParam":
         value = Fraction(value)
         if value <= 0:
             raise InstanceError("slope parameter must be positive")
-        return StabilityParam(mode="slope", slope_value=value)
+        return StabilityParam(mode="slope", delta=value)
 
     @staticmethod
     def hilbert(poly: UniPoly) -> "StabilityParam":
         if poly.leading <= 0:
             raise InstanceError("polynomial parameter must have positive leading coefficient")
-        return StabilityParam(mode="hilbert", hilbert_value=poly)
+        return StabilityParam(mode="hilbert", delta=poly)
 
 
 @dataclass(frozen=True)
@@ -109,11 +108,14 @@ def validate_filtration(fs: FiltrationSpec) -> None:
         )
 
 
-def require_mode(fs: FiltrationSpec, sp: StabilityParam) -> None:
-    """Reject mixed instances: polynomial mode needs polynomials everywhere."""
-    if sp.mode == "hilbert":
-        missing = [st for st in (fs.total, *fs.steps) if st.hilbert is None]
-        if missing:
-            raise InstanceError("hilbert mode requires a polynomial on every sheaf datum")
-    elif sp.mode != "slope":
+def sheaf_values(fs: FiltrationSpec, sp: StabilityParam) -> list[Union[int, UniPoly]]:
+    """Each sheaf's value, total first: its integer degree in slope mode, its
+    Hilbert polynomial in hilbert mode.  The one place that knows the mode."""
+    sheaves = (fs.total, *fs.steps)
+    if sp.mode == "slope":
+        return [sd.degree for sd in sheaves]
+    if sp.mode != "hilbert":
         raise InstanceError(f"unknown mode {sp.mode!r}")
+    if any(sd.hilbert is None for sd in sheaves):
+        raise InstanceError("hilbert mode requires a polynomial on every sheaf datum")
+    return [sd.hilbert for sd in sheaves]

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 
 from .model import FiltrationSpec, InstanceError, SheafData, StabilityParam
-from .pivots import PivotSet, Tuple_, pivots_from_matrix, tuple_cmp, Rel, ordered_tuples
+from .pivots import PivotSet, Tuple_, tuple_cmp, Rel, ordered_tuples
 from .stability import CheckVerdict, check_k_semistable, decide_destabilizing
 
 ARITY = 3
@@ -59,20 +59,19 @@ def validate_p1(tensor: P1Tensor) -> None:
 
 
 def flag_pivots(tensor: P1Tensor, i: int, j: int) -> PivotSet:
-    """Pivot set of the flag 0 < L_i < L_i + L_j < E for the tensor's support."""
+    """Pivot set of the flag 0 < L_i < L_i + L_j < E for the tensor's support.
+
+    Summand L_i enters the flag at level 1, L_j at level 2 and the third at
+    level 3.  A support multiset survives on a tuple of levels exactly when
+    the tuple is below its sorted entry levels, so those are the pivots.
+    """
     if i == j or i not in (1, 2, 3) or j not in (1, 2, 3):
         raise InstanceError(f"flag indices must be distinct elements of 1..3, got ({i},{j})")
-    allowed = {1: {i}, 2: {i, j}, 3: {1, 2, 3}}
-
-    def entry(levels: Tuple_) -> int:
-        for m in tensor.support:
-            for perm in permutations(m):
-                if all(x in allowed[lvl] for x, lvl in zip(perm, levels)):
-                    return 1
-        return 0
-
-    table = {tup: entry(tup) for tup in ordered_tuples(ARITY, 3)}
-    return pivots_from_matrix(table)
+    level = {x: 3 for x in (1, 2, 3)}
+    level[i], level[j] = 1, 2
+    return PivotSet.from_tuples(
+        (tuple(sorted(level[x] for x in m)) for m in tensor.support), t=3, arity=ARITY
+    )
 
 
 def k_values(tensor: P1Tensor) -> tuple[tuple[int, int, int], dict[tuple[int, int], int]]:

@@ -1,7 +1,11 @@
 """Univariate polynomials with rational coefficients, ordered asymptotically.
 
 Two polynomials are compared by how they behave for large arguments, i.e.
-by the sign of the leading coefficient of their difference.
+by the sign of the leading coefficient of their difference.  A scalar acts as
+a constant polynomial in `+`, `-`, `<` and `>` and as a factor in `*`, so a
+`UniPoly` serves as a stability value wherever a `Fraction` does.  `==` stays
+between polynomials (the frozen dataclass is hashable), so test signs with
+`< 0` and `> 0`.
 """
 
 from __future__ import annotations
@@ -50,16 +54,20 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
+    def __add__(self, other: Union["UniPoly", Scalar]) -> "UniPoly":
+        if not isinstance(other, UniPoly):
+            other = UniPoly.constant(other)
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
         b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
         return UniPoly(_trim(tuple(x + y for x, y in zip(a, b))))
 
+    __radd__ = __add__
+
     def __neg__(self) -> "UniPoly":
         return UniPoly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
+    def __sub__(self, other: Union["UniPoly", Scalar]) -> "UniPoly":
         return self + (-other)
 
     def scale(self, c: Scalar) -> "UniPoly":
@@ -68,6 +76,17 @@ class UniPoly:
             return UniPoly(())
         return UniPoly(tuple(c * x for x in self.coeffs))
 
+    def __mul__(self, c: Scalar) -> "UniPoly":
+        return self.scale(c)
+
+    __rmul__ = __mul__
+
+    def __lt__(self, other: Union["UniPoly", Scalar]) -> bool:
+        return poly_cmp(self, other) < 0
+
+    def __gt__(self, other: Union["UniPoly", Scalar]) -> bool:
+        return poly_cmp(self, other) > 0
+
     def __call__(self, x: Scalar) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -75,7 +94,7 @@ class UniPoly:
         return acc
 
 
-def poly_cmp(p: UniPoly, q: UniPoly) -> int:
+def poly_cmp(p: UniPoly, q: Union[UniPoly, Scalar]) -> int:
     """Asymptotic comparison: -1 if p(x) < q(x) for x >> 0, 0 if equal, +1 otherwise."""
     lead = (p - q).leading
     if lead < 0:

@@ -1,9 +1,12 @@
 """Stability arithmetic over weighted filtrations with a fixed pivot set.
 
-Everything is exact: rationals for slope mode, asymptotically ordered rational
-polynomials for the polynomial (Hilbert) mode.  The destabilization decision
-minimizes the piecewise-linear stability value over the closed weight simplex
-by exact vertex enumeration of the per-pivot linearity regions.
+Everything is exact.  A stability value is a `Fraction` in slope mode and an
+asymptotically ordered rational `UniPoly` in the polynomial (Hilbert) mode;
+both support `+`, scaling by a rational and `<`, so one code path serves both
+modes (slope mode is Hilbert mode with constant values).  Only
+`model.sheaf_values` knows the mode.  The destabilization decision minimizes
+the piecewise-linear stability value over the closed weight simplex by exact
+vertex enumeration of the per-pivot linearity regions.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from .model import (
     InstanceError,
     StabilityParam,
     guard_limit,
-    require_mode,
+    sheaf_values,
     validate_filtration,
 )
 from .pivots import PivotSet, Tuple_, matrix_from_pivots, project_pivots
-from .poly import UniPoly, poly_cmp
+from .poly import UniPoly
 from .polytope import enumerate_vertices, make_row
 
 Value = Union[Fraction, UniPoly]
@@ -31,18 +34,6 @@ STRICTLY_DESTABILIZED = "strictly-destabilized"
 MARGINALLY_DESTABILIZED = "marginally-destabilized"
 STABLE_OK = "stable-ok"
 BOUNDARY_WITNESS = "boundary-witness"
-
-
-def _value_sign(sp: StabilityParam, v: Value) -> int:
-    if sp.mode == "slope":
-        return (v > 0) - (v < 0)
-    return poly_cmp(v, UniPoly.zero())
-
-
-def _value_lt(sp: StabilityParam, u: Value, v: Value) -> bool:
-    if sp.mode == "slope":
-        return u < v
-    return poly_cmp(u, v) < 0
 
 
 def _check_instance(
@@ -60,22 +51,12 @@ def _check_instance(
 def constants(fs: FiltrationSpec, sp: StabilityParam) -> list[Value]:
     """Per-step linear constants of the stability value."""
     validate_filtration(fs)
-    require_mode(fs, sp)
+    total, *values = sheaf_values(fs, sp)
     r, a = fs.total.rank, fs.arity
-    out: list[Value] = []
-    for st in fs.steps:
-        if sp.mode == "slope":
-            out.append(
-                Fraction(st.rank * fs.total.degree - r * st.degree)
-                - a * sp.slope_value * st.rank
-            )
-        else:
-            out.append(
-                fs.total.hilbert.scale(st.rank)
-                - st.hilbert.scale(r)
-                - sp.hilbert_value.scale(a * st.rank)
-            )
-    return out
+    return [
+        st.rank * total - r * v - a * st.rank * sp.delta
+        for st, v in zip(fs.steps, values)
+    ]
 
 
 def gamma_vector(fs: FiltrationSpec, w: Weights) -> tuple[Fraction, ...]:
@@ -156,12 +137,7 @@ def is_critical(fs: FiltrationSpec, ps: PivotSet, w: Weights) -> bool:
 
 def _value(sp: StabilityParam, cs: Sequence[Value], r: int, w: Weights, rmax: Fraction) -> Value:
     """Stability value sum_i w_i c_i + r * delta * rmax."""
-    if sp.mode == "slope":
-        return sum((alpha * c for alpha, c in zip(w, cs)), Fraction(0)) + r * sp.slope_value * rmax
-    total = UniPoly.zero()
-    for alpha, c in zip(w, cs):
-        total = total + c.scale(alpha)
-    return total + sp.hilbert_value.scale(r * rmax)
+    return sum(alpha * c for alpha, c in zip(w, cs)) + r * rmax * sp.delta
 
 
 def objective(fs: FiltrationSpec, ps: PivotSet, w: Weights, sp: StabilityParam) -> Value:
@@ -186,13 +162,8 @@ def check_k_semistable(
     r = fs.total.rank
     results = []
     for level, c in enumerate(cs, start=1):
-        k = k_of_level(ps, level)
-        if sp.mode == "slope":
-            value: Value = c + r * sp.slope_value * k
-        else:
-            value = c + sp.hilbert_value.scale(r * k)
-        sgn = _value_sign(sp, value)
-        results.append(sgn > 0 if strict else sgn >= 0)
+        value = c + r * k_of_level(ps, level) * sp.delta
+        results.append(value > 0 if strict else not value < 0)
     return results
 
 
@@ -206,11 +177,12 @@ class CheckVerdict:
     boundary_support: Optional[tuple[int, ...]] = None
 
 
-def _regions(
+def region_minima(
     fs: FiltrationSpec, ps: PivotSet, sp: StabilityParam
 ) -> list[tuple[Tuple_, list[tuple[Weights, Value]]]]:
     """Vertices of each pivot p's region (where p attains r_value) with their exact
-    values; there the value is linear, with g_p . w in place of the maximum."""
+    values; there the value is linear, with g_p . w in place of the maximum.
+    `decide_destabilizing` minimizes over these; `check --trace` prints them."""
     cs = constants(fs, sp)
     _check_instance(fs, ps)
     s, r = fs.s, fs.total.rank
@@ -245,7 +217,7 @@ def decide_destabilizing(
     """
     if strictness not in ("semi", "stable"):
         raise InstanceError(f"unknown strictness {strictness!r}")
-    regions = _regions(fs, ps, sp)
+    regions = region_minima(fs, ps, sp)
     if fs.s < 1:
         raise InstanceError("filtration has no steps")
 
@@ -257,27 +229,19 @@ def decide_destabilizing(
     for p, points in regions:
         if not points:
             continue
-        region_min = points[0][1]
-        for _, val in points[1:]:
-            if _value_lt(sp, val, region_min):
-                region_min = val
-        minimizers = [
-            v
-            for v, val in points
-            if not _value_lt(sp, region_min, val) and not _value_lt(sp, val, region_min)
-        ]
-        if best_value is None or _value_lt(sp, region_min, best_value):
+        region_min = min(val for _, val in points)
+        minimizers = [v for v, val in points if val == region_min]
+        if best_value is None or region_min < best_value:
             best_value = region_min
             best_vertices = list(minimizers)
             best_pivot = p
             interior_witness = None
-        elif not _value_lt(sp, best_value, region_min):
+        elif region_min == best_value:
             best_vertices.extend(minimizers)
-            if best_pivot is None or p < best_pivot:
-                best_pivot = p
+            best_pivot = min(best_pivot, p)
         # A linear function minimized on a face: the face holds a strictly
         # positive point iff the centroid of its minimizing vertices is positive.
-        if not _value_lt(sp, best_value, region_min) and not _value_lt(sp, region_min, best_value):
+        if region_min == best_value:
             n = len(minimizers)
             centroid = tuple(
                 sum((v[i] for v in minimizers), Fraction(0)) / n for i in range(fs.s)
@@ -288,12 +252,11 @@ def decide_destabilizing(
     assert best_value is not None and best_pivot is not None
     best_vertices.sort()
     witness = best_vertices[0]
-    sgn = _value_sign(sp, best_value)
 
-    if sgn < 0:
+    if best_value < 0:
         classification = STRICTLY_DESTABILIZED
         boundary = None
-    elif sgn > 0:
+    elif best_value > 0:
         classification = STABLE_OK
         boundary = None
     elif interior_witness is not None:
@@ -304,7 +267,9 @@ def decide_destabilizing(
         classification = BOUNDARY_WITNESS
         boundary = tuple(i + 1 for i, c in enumerate(witness) if c > 0)
 
-    violated = sgn < 0 or (strictness == "stable" and classification == MARGINALLY_DESTABILIZED)
+    violated = best_value < 0 or (
+        strictness == "stable" and classification == MARGINALLY_DESTABILIZED
+    )
     return CheckVerdict(
         min_value=best_value,
         witness=witness,
@@ -313,13 +278,6 @@ def decide_destabilizing(
         violated=violated,
         boundary_support=boundary,
     )
-
-
-def region_minima(
-    fs: FiltrationSpec, ps: PivotSet, sp: StabilityParam
-) -> list[tuple[Tuple_, list[tuple[Weights, Value]]]]:
-    """Per-pivot region vertices with their objective values, for audit traces."""
-    return _regions(fs, ps, sp)
 
 
 def reduce_destabilizer(
@@ -392,5 +350,5 @@ def prune_nonnegative(
     """
     cs = constants(fs, sp)
     _check_instance(fs, ps)
-    keep = [lvl for lvl, c in enumerate(cs, start=1) if _value_sign(sp, c) < 0]
+    keep = [lvl for lvl, c in enumerate(cs, start=1) if c < 0]
     return fs.substeps(keep), project_pivots(ps, keep), cs

@@ -3,14 +3,17 @@
 `enumerate_vertices` is the original vertex enumerator: Gaussian elimination
 over `Fraction` on the full system of every tight-constraint subset.  The
 library's fraction-free integer kernel must return exactly what it returns.
+`flag_pivots` is the original p1 flag pivot extraction through the full 0/1
+table; the library derives the pivots directly from the support's levels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Optional, Sequence
 
+from destab.pivots import PivotSet, Tuple_, ordered_tuples, pivots_from_matrix
 from destab.polytope import Row
 
 
@@ -81,3 +84,18 @@ def enumerate_vertices(
         if ok:
             found.add(point)
     return sorted(found)
+
+
+def flag_pivots(tensor, i: int, j: int) -> PivotSet:
+    """Pivot set of a p1 flag from its full 0/1 table, by trying every
+    permutation of every support multiset against every ordered tuple."""
+    allowed = {1: {i}, 2: {i, j}, 3: {1, 2, 3}}
+
+    def entry(levels: Tuple_) -> int:
+        for m in tensor.support:
+            for perm in permutations(m):
+                if all(x in allowed[lvl] for x, lvl in zip(perm, levels)):
+                    return 1
+        return 0
+
+    return pivots_from_matrix({tup: entry(tup) for tup in ordered_tuples(3, 3)})

@@ -145,6 +145,108 @@ def test_p1_non_integer_fields_are_rejected_by_path(tmp_path, capsys, tensor, pa
     assert err.startswith(f"error: {path}: expected ")
 
 
+def _hilbert(instance, total, step, delta):
+    """The same instance in hilbert mode, with the given polynomials."""
+    return dict(
+        instance,
+        mode="hilbert",
+        total=dict(instance["total"], hilbert=total),
+        steps=[dict(instance["steps"][0], hilbert=step)],
+        delta=delta,
+    )
+
+
+@pytest.mark.parametrize(
+    "instance, path, message",
+    [
+        (dict(RANK6_INSTANCE, delta=0.5), "delta", "expected a rational string, got 0.5"),
+        (dict(RANK6_INSTANCE, delta="1/0"), "delta", "invalid rational '1/0'"),
+        (
+            _hilbert(PASSING_INSTANCE, ["0", "2"], ["-5", "1"], "x"),
+            "delta",
+            "expected a coefficient list, got 'x'",
+        ),
+        (
+            _hilbert(PASSING_INSTANCE, ["0", "2"], ["-5", "1"], ["1", 0.5]),
+            "delta[1]",
+            "expected a rational string, got 0.5",
+        ),
+        (
+            dict(RANK6_INSTANCE, weights=["1", 0.5, "1"]),
+            "weights[1]",
+            "expected a rational string, got 0.5",
+        ),
+        (
+            dict(_hilbert(PASSING_INSTANCE, ["0", "2"], ["-5", "1"], ["1"]), weights=["x"]),
+            "weights[0]",
+            "invalid rational 'x'",
+        ),
+        (
+            _hilbert(PASSING_INSTANCE, ["0", "2"], "x", ["1"]),
+            "steps[0].hilbert",
+            "expected a coefficient list, got 'x'",
+        ),
+        (
+            _hilbert(PASSING_INSTANCE, ["0", True], ["-5", "1"], ["1"]),
+            "total.hilbert[1]",
+            "expected a rational string, got True",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["check", "reduce"])
+def test_rational_and_polynomial_fields_are_rejected_by_path(
+    tmp_path, capsys, instance, path, message, command
+):
+    code, out, err = run(capsys, [command, write_json(tmp_path, instance)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: {message}")
+
+
+def test_p1_delta_errors_name_their_source(tmp_path, capsys):
+    tensor = {"degrees": [0, 0, 0], "support": [[1, 2, 3]]}
+    code, _, err = run(capsys, ["p1", "check", write_json(tmp_path, tensor), "--delta", "1/0"])
+    assert code == 2 and err.startswith("error: --delta: invalid rational '1/0'")
+    code, _, err = run(capsys, ["p1", "check", write_json(tmp_path, dict(tensor, delta=0.5))])
+    assert code == 2 and err.startswith("error: delta: expected a rational string, got 0.5")
+
+
+# One step of rank 1 and degree 0 in a rank-2 sheaf of degree D, arity 1, delta 1,
+# pivot (2,): the value at weight 2 is 2 * (D - 1).  In hilbert mode, total
+# D + 3x, step x and delta 1 + x give the same constant polynomial.
+def _weighted(total_degree, mode):
+    instance = {
+        "mode": "slope",
+        "arity": 1,
+        "total": {"rank": 2, "degree": total_degree},
+        "steps": [{"rank": 1, "degree": 0}],
+        "delta": "1",
+        "pivots": [[2]],
+        "weights": ["2"],
+    }
+    if mode == "hilbert":
+        instance = _hilbert(instance, [str(total_degree), "3"], ["0", "1"], ["1", "1"])
+    return instance
+
+
+@pytest.mark.parametrize("mode", ["slope", "hilbert"])
+@pytest.mark.parametrize(
+    "total_degree, value, semi_violated, strict_violated",
+    [(0, -2, True, True), (1, 0, False, True), (2, 2, False, False)],
+)
+@pytest.mark.parametrize("flag", ["--semi", "--strict"])
+def test_weighted_check_verdict(
+    tmp_path, capsys, mode, total_degree, value, semi_violated, strict_violated, flag
+):
+    path = write_json(tmp_path, _weighted(total_degree, mode))
+    code, out, _ = run(capsys, ["check", flag, path])
+    violated = strict_violated if flag == "--strict" else semi_violated
+    assert code == (1 if violated else 0)
+    report = json.loads(out)
+    assert report["violated"] is violated
+    expected = str(value) if mode == "slope" else ([str(value)] if value else [])
+    assert report["value"] == expected
+
+
 def test_comb_values(capsys):
     code, out, _ = run(capsys, ["comb", "f", "3", "3", "6"])
     assert code == 0 and out.strip() == "2"

@@ -1,5 +1,7 @@
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
+import oracles
 import pytest
 
 from destab.model import InstanceError
@@ -47,6 +49,18 @@ def test_flag_pivots_examples():
     assert flag_pivots(t, 3, 2).pivots == ((1, 2, 3),)
     # Through L_2 then L_2 + L_1: the 3 only lives at the top.
     assert flag_pivots(t, 2, 1).pivots == ((1, 2, 3),)
+
+
+def test_flag_pivots_match_the_full_table_oracle():
+    multisets = list(combinations_with_replacement((1, 2, 3), 3))
+    supports = [c for n in range(1, 11) for c in combinations(multisets, n)]
+    assert len(supports) == 1023
+    for support in supports:
+        t = tensor((0, 0, 0), support)
+        for i in (1, 2, 3):
+            for j in (1, 2, 3):
+                if i != j:
+                    assert flag_pivots(t, i, j) == oracles.flag_pivots(t, i, j)
 
 
 def test_flag_pivots_two_pivot_case():

@@ -65,3 +65,43 @@ def test_immutability():
     p = UniPoly.from_coeffs([1])
     with pytest.raises(Exception):
         p.coeffs = (Fraction(2),)
+
+
+positive = st.fractions(min_value=0, max_value=50, max_denominator=9).filter(lambda c: c > 0)
+
+
+@given(polys, polys, polys)
+def test_lt_is_a_strict_total_order_consistent_with_poly_cmp(p, q, r):
+    assert (p < q) == (poly_cmp(p, q) < 0)
+    assert (p > q) == (poly_cmp(p, q) > 0)
+    assert [p < q, p == q, p > q].count(True) == 1
+    assert not p < p
+    if p < q and q < r:
+        assert p < r
+
+
+@given(polys, polys, polys, fractions)
+def test_lt_is_translation_invariant(p, q, r, c):
+    assert (p + r < q + r) == (p < q)
+    assert (p + c < q + c) == (p < q)
+    assert (c + p > c + q) == (p > q)
+
+
+@given(polys, polys, positive)
+def test_lt_is_preserved_by_positive_scaling(p, q, c):
+    assert (c * p < c * q) == (p < q)
+    assert (p * c > q * c) == (p > q)
+
+
+@given(fractions, fractions)
+def test_constants_order_like_their_fractions(a, b):
+    assert (UniPoly.constant(a) < UniPoly.constant(b)) == (a < b)
+    assert (UniPoly.constant(a) > b) == (a > b)
+    assert (a < UniPoly.constant(b)) == (a < b)
+
+
+@given(polys)
+def test_scalar_identities(p):
+    assert 0 + p == p
+    assert 1 * p == p
+    assert sum([p, p]) == p.scale(2)

@@ -263,6 +263,51 @@ def test_decide_boundary_zero_names_subfiltration():
     assert not verdict.violated
 
 
+def _near_equal_slope(rng):
+    """Steps of near-equal slope, so that zero minima occur among the verdicts."""
+    r = rng.randint(2, 7)
+    s = rng.randint(1, min(4, r - 1))
+    m = rng.randint(-2, 2)
+    ranks = sorted(rng.sample(range(1, r), s))
+    fs = FiltrationSpec(
+        arity=rng.randint(1, 3),
+        multiplicity=1,
+        total=SheafData(r, m * r),
+        steps=tuple(SheafData(rk, m * rk + rng.choice([-1, 0, 0, 1])) for rk in ranks),
+    )
+    delta = F(rng.randint(1, 3), rng.randint(1, 3))
+    return fs, random_pivots(rng, fs.arity, fs.t), delta
+
+
+def _as_hilbert(sd):
+    return SheafData(sd.rank, sd.degree, UniPoly.from_coeffs([sd.degree, sd.rank]))
+
+
+def test_slope_mode_is_hilbert_mode_with_constant_values():
+    # With P = d + r x on every sheaf the x terms cancel in every constant,
+    # so the hilbert decision is the slope decision with constant values.
+    rng = random.Random(2015)
+    classes = set()
+    for _ in range(300):
+        fs, ps, delta = _near_equal_slope(rng)
+        hfs = FiltrationSpec(
+            fs.arity, fs.multiplicity, _as_hilbert(fs.total), tuple(map(_as_hilbert, fs.steps))
+        )
+        for strictness in ("semi", "stable"):
+            slope = decide_destabilizing(fs, ps, StabilityParam.slope(delta), strictness)
+            poly = decide_destabilizing(
+                hfs, ps, StabilityParam.hilbert(UniPoly.constant(delta)), strictness
+            )
+            assert poly.min_value == UniPoly.constant(slope.min_value)
+            assert poly.witness == slope.witness
+            assert poly.attaining_pivot == slope.attaining_pivot
+            assert poly.classification == slope.classification
+            assert poly.violated == slope.violated
+            assert poly.boundary_support == slope.boundary_support
+            classes.add(slope.classification)
+    assert len(classes) == 4
+
+
 def test_decide_rejects_bad_strictness_and_mismatch():
     fs, ps, sp = rank6()
     with pytest.raises(InstanceError):
