@@ -71,21 +71,26 @@ def _parse_sheaf(obj: Any, where: str) -> SheafData:
     return SheafData(rank=rank, degree=degree, hilbert=hilbert)
 
 
+def _parse_weight(value: Any, path: str) -> Fraction:
+    weight = parse_frac(value, path)
+    if weight <= 0:
+        raise InstanceError(f"{path}: expected a positive rational, got {value!r}")
+    return weight
+
+
 def parse_instance(
     obj: Any,
 ) -> tuple[FiltrationSpec, PivotSet, StabilityParam, Optional[Weights]]:
+    """Read an instance; every structural error names its JSON path."""
     if not isinstance(obj, dict):
-        raise InstanceError("instance must be a JSON object")
+        raise InstanceError("instance: expected an object")
     mode = obj.get("mode", "slope")
     if mode not in ("slope", "hilbert"):
-        raise InstanceError(f"mode must be 'slope' or 'hilbert', got {mode!r}")
+        raise InstanceError(f"mode: expected 'slope' or 'hilbert', got {mode!r}")
     arity = parse_int(obj.get("arity"), "arity")
     multiplicity = parse_int(obj.get("multiplicity", 1), "multiplicity")
     total = _parse_sheaf(obj.get("total"), "total")
-    steps_raw = obj.get("steps", [])
-    if not isinstance(steps_raw, list):
-        raise InstanceError("steps must be a list")
-    steps = tuple(_parse_sheaf(st, f"steps[{k}]") for k, st in enumerate(steps_raw))
+    steps = parse_list(obj.get("steps", []), "steps", _parse_sheaf)
     fs = FiltrationSpec(arity=arity, multiplicity=multiplicity, total=total, steps=steps)
 
     delta = obj.get("delta")
@@ -94,18 +99,14 @@ def parse_instance(
     else:
         sp = StabilityParam.hilbert(parse_poly(delta, "delta"))
 
-    pivots_raw = obj.get("pivots")
-    if not isinstance(pivots_raw, list) or not pivots_raw:
-        raise InstanceError("pivots must be a nonempty list of integer tuples")
-    ps = PivotSet.from_tuples(parse_list(pivots_raw, "pivots", parse_list), t=fs.t, arity=arity)
+    pivots = parse_list(obj.get("pivots"), "pivots", parse_list)
+    if not pivots:
+        raise InstanceError("pivots: expected a nonempty list, got []")
+    ps = PivotSet.from_tuples(pivots, t=fs.t, arity=arity)
 
     weights: Optional[Weights] = None
     if obj.get("weights") is not None:
-        if not isinstance(obj["weights"], list):
-            raise InstanceError("weights must be a list of rational strings")
-        weights = parse_list(obj["weights"], "weights", parse_frac)
-        if any(w <= 0 for w in weights):
-            raise InstanceError("weights must be strictly positive")
+        weights = parse_list(obj["weights"], "weights", _parse_weight)
     return fs, ps, sp, weights
 
 

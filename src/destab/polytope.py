@@ -1,22 +1,28 @@
-"""Exact vertex enumeration for small polytopes, in fraction-free integer arithmetic.
+"""Exact linear programming and vertex enumeration for small polytopes, in
+fraction-free integer arithmetic.
 
 Polytopes are given by equality rows (coeffs . x == rhs) and inequality rows
-(coeffs . x >= rhs) with rational entries, each scaled to integers once.  The
-equalities are reduced once and their pivot variables substituted away; every
-vertex then turns `need` reduced inequalities tight, one per free variable.
-Eliminations keep rows integral and primitive (no fractions); points are
-integer numerators over a common denominator until returned.  Intended scale
-is at most ~8 variables.
+(coeffs . x >= rhs) with rational (int or `Fraction`) entries, each scaled to
+integers once.  `simplex` minimizes over a feasible tableau by the primal
+simplex method with Bland's rule and names the variables that vanish on every
+optimum; `enumerate_vertices` then lists the vertices of that optimal face (or
+of any small polytope): the equalities are reduced once and their pivot
+variables substituted away, and every vertex turns `need` reduced inequalities
+tight, one per free variable.  Eliminations keep rows integral and primitive
+(no fractions); points are integer numerators over a common denominator until
+returned.  Intended scale is at most ~12 variables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from math import comb, gcd, lcm
+from typing import Any, Iterable, Optional, Sequence
 
-Row = tuple[tuple[Fraction, ...], Fraction]  # (coefficients, right-hand side)
+from .model import InstanceError, guard_limit
+
+Row = tuple[tuple, Any]  # (coefficients, right-hand side), each an int or a Fraction
 IntRow = list[int]  # integer coefficients followed by the right-hand side
 Point = tuple[tuple[int, ...], int]  # (numerators, positive common denominator)
 
@@ -36,6 +42,17 @@ def _integer_row(row: Row) -> IntRow:
     return _primitive([v.numerator * (scale // v.denominator) for v in values])
 
 
+def _eliminate(mat: list[IntRow], k: int, col: int) -> None:
+    """Clear column `col` from every row but row k, whose entry there is positive;
+    each changed row is a positive multiple of the exact result, made primitive."""
+    prow = mat[k]
+    pivot = prow[col]
+    for i, row in enumerate(mat):
+        f = row[col]
+        if f and i != k:
+            mat[i] = _primitive([pivot * a - f * b for a, b in zip(row, prow)])
+
+
 def _reduce(rows: Iterable[IntRow], dim: int) -> Optional[list[tuple[int, IntRow]]]:
     """Fraction-free Gauss-Jordan: (pivot column, primitive row) pairs in column
     order, each pivot positive and alone in its column; None if inconsistent."""
@@ -50,11 +67,7 @@ def _reduce(rows: Iterable[IntRow], dim: int) -> Optional[list[tuple[int, IntRow
             continue
         prow = mat[k] if mat[k][col] > 0 else [-v for v in mat[k]]
         mat[k], mat[top] = mat[top], prow
-        pivot = prow[col]
-        for i, row in enumerate(mat):
-            f = row[col]
-            if f and i != top:
-                mat[i] = _primitive([pivot * a - f * b for a, b in zip(row, prow)])
+        _eliminate(mat, top, col)
         cols.append(col)
     if any(row[dim] for row in mat[len(cols):]):  # these rows have zero coefficients
         return None
@@ -72,16 +85,75 @@ def solve_unique(rows: Sequence[IntRow], dim: int) -> Optional[Point]:
     return tuple(row[dim] * (den // row[col]) for col, row in reduced), den
 
 
+def simplex(tableau: list[IntRow], basis: list[int], costs: Sequence) -> list[int]:
+    """Minimize costs . x over {x >= 0 : tableau rows hold}; return the columns
+    whose reduced cost is strictly positive at the optimum.
+
+    These are exactly the variables that vanish on every optimum (complementary
+    slackness): the optimal face is the feasible set with them fixed at zero.
+    The tableau must be feasible and in canonical form for `basis`: row r has
+    a positive entry in column basis[r], zeros in the other basic columns and a
+    nonnegative right-hand side.  Pivots follow Bland's rule (Bland 1977), so
+    the method terminates, and keep every row integral and primitive.  Costs
+    are all ints, or all ordered values of one kind with `+`, `-`, integer
+    scaling and `<`/`>` against 0, such as `UniPoly`.  The objective row is
+    only ever scaled by positive pivots, so its signs stay the signs of the
+    reduced costs.
+    """
+    obj = list(costs)
+    for row, b in zip(tableau, basis):
+        if costs[b] < 0 or costs[b] > 0:  # price out basic column b
+            obj = _combine(obj, row[b], costs[b], row)
+    while True:
+        enter = next((j for j, o in enumerate(obj) if o < 0), None)
+        if enter is None:
+            return [j for j, o in enumerate(obj) if o > 0]
+        leave = None
+        for k, row in enumerate(tableau):  # minimum ratio, ties to the least basic index
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave = k
+                    continue
+                best = tableau[leave]
+                lhs, rhs = row[-1] * best[enter], best[-1] * a
+                if lhs < rhs or (lhs == rhs and basis[k] < basis[leave]):
+                    leave = k
+        if leave is None:
+            raise ValueError("the objective is unbounded below")
+        _eliminate(tableau, leave, enter)
+        obj = _combine(obj, tableau[leave][enter], obj[enter], tableau[leave])
+        basis[leave] = enter
+
+
+def _combine(obj: list, m: int, f: Any, row: IntRow) -> list:
+    """m * obj - f * row over the objective's columns, for m > 0; unit and zero
+    factors are skipped, because scaling a polynomial is not free."""
+    if m != 1:
+        obj = [o * m for o in obj]
+    return [o - f * a if a else o for o, a in zip(obj, row)]
+
+
 def enumerate_vertices(
     equalities: Sequence[Row], inequalities: Sequence[Row], dim: int
 ) -> list[tuple[Fraction, ...]]:
-    """All vertices of {x : eq rows hold, ineq rows >= rhs}, sorted."""
+    """All vertices of {x : eq rows hold, ineq rows >= rhs}, sorted.
+
+    Refuses with `InstanceError` when the tight subsets to try, C(#inequalities,
+    need), exceed `guard_limit(1_000_000)`.
+    """
     reduced = _reduce(map(_integer_row, equalities), dim)
     if reduced is None:
         return []
     pivots = {col for col, _ in reduced}
     free = [c for c in range(dim) if c not in pivots]
     need = len(free)
+    count, limit = comb(len(inequalities), need), guard_limit(1_000_000)
+    if count > limit:
+        raise InstanceError(
+            f"vertex enumeration too large: {count} tight subsets "
+            f"(C({len(inequalities)}, {need})) > {limit}"
+        )
     scale = lcm(*(row[col] for col, row in reduced))
     # Substitute each pivot variable: scale * (a . x - b) >= 0 in the free variables.
     eqs = [(col, scale // row[col], [row[c] for c in free] + [row[dim]]) for col, row in reduced]

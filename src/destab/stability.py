@@ -5,14 +5,16 @@ asymptotically ordered rational `UniPoly` in the polynomial (Hilbert) mode;
 both support `+`, scaling by a rational and `<`, so one code path serves both
 modes (slope mode is Hilbert mode with constant values).  Only
 `model.sheaf_values` knows the mode.  The destabilization decision minimizes
-the piecewise-linear stability value over the closed weight simplex by exact
-vertex enumeration of the per-pivot linearity regions.
+the convex piecewise-linear stability value over the closed weight simplex by
+one exact epigraph LP, then enumerates the vertices of its optimal face only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .model import (
@@ -25,7 +27,7 @@ from .model import (
 )
 from .pivots import PivotSet, Tuple_, matrix_from_pivots, project_pivots
 from .poly import UniPoly
-from .polytope import enumerate_vertices, make_row
+from .polytope import Row, enumerate_vertices, make_row, simplex
 
 Value = Union[Fraction, UniPoly]
 Weights = tuple[Fraction, ...]
@@ -177,31 +179,75 @@ class CheckVerdict:
     boundary_support: Optional[tuple[int, ...]] = None
 
 
+def _epigraph(gs: Sequence[Tuple_], s: int) -> tuple[list[Row], list[Row]]:
+    """Integer rows over (w, z): the simplex equality sum w = 1, and the bound
+    x_j >= 0 of every column j of the epigraph LP: w_i >= 0, z >= 0, and
+    z - g_p . w >= 0 for each pivot p (the slack of p)."""
+    unit = [(0,) * i + (1,) + (0,) * (s - i) for i in range(s + 1)]
+    return [((1,) * s + (0,), 1)], [(u, 0) for u in unit] + [
+        (tuple(-x for x in g) + (1,), 0) for g in gs
+    ]
+
+
+def _start(costs: Sequence, gs: Sequence[Tuple_], s: int) -> tuple[list[list[int]], list[int]]:
+    """Canonical tableau of the epigraph LP at its cheapest simplex vertex
+    w = e_i, z = max_p g_p[i].  Columns are w, z and the pivots' slacks; the
+    basis is w_i, z and the slack of every pivot but the first attaining that
+    maximum.  Every basic entry is 1, so the rows are plain integers."""
+    tops = [max(g[i] for g in gs) for i in range(s)]
+    i = min(range(s), key=lambda j: costs[j] + costs[s] * tops[j])
+    k0 = next(k for k, g in enumerate(gs) if g[i] == tops[i])
+    g0, ks = gs[k0], range(len(gs))
+    z_w = [g0[i] - g0[j] for j in range(s)]
+    tableau = [
+        [1] * s + [0] * (1 + len(gs)) + [1],
+        z_w + [1] + [-(m == k0) for m in ks] + [g0[i]],
+    ]
+    basis = [i, s]
+    for k, g in enumerate(gs):
+        if k != k0:
+            w_part = [z + g[j] - g[i] for j, z in enumerate(z_w)]
+            tableau.append(w_part + [0] + [(m == k) - (m == k0) for m in ks] + [g0[i] - g[i]])
+            basis.append(s + 1 + k)
+    return tableau, basis
+
+
+def _lp_costs(cs: Sequence[Value], rdelta: Value, npiv: int) -> list:
+    """Column costs of the epigraph LP; `Fraction` costs are scaled to integers by
+    a positive lcm, which keeps the minimizers, and polynomial costs stay as they are."""
+    values = [*cs, rdelta]
+    if all(isinstance(v, Fraction) for v in values):
+        scale = lcm(*(v.denominator for v in values))
+        values = [v.numerator * (scale // v.denominator) for v in values]
+    return values + [values[-1] * 0] * npiv  # the slacks cost a zero of the same kind
+
+
+def _by_pivot(
+    gs: dict[Tuple_, Tuple_], vertices: Sequence[tuple[Fraction, ...]]
+) -> list[tuple[Tuple_, list[tuple[Fraction, ...]]]]:
+    """Epigraph vertices (w, z) grouped by every pivot p with g_p . w = z, i.e. by
+    the regions where p attains the maximum; each keeps its sorted order."""
+    return [(p, [v for v in vertices if sum(map(mul, g, v)) == v[-1]]) for p, g in gs.items()]
+
+
 def region_minima(
     fs: FiltrationSpec, ps: PivotSet, sp: StabilityParam
 ) -> list[tuple[Tuple_, list[tuple[Weights, Value]]]]:
     """Vertices of each pivot p's region (where p attains r_value) with their exact
     values; there the value is linear, with g_p . w in place of the maximum.
-    `decide_destabilizing` minimizes over these; `check --trace` prints them."""
+
+    They are the vertices (w, z) of the epigraph {w in the simplex, z >= g_q . w
+    for every pivot q} at which z = g_p . w, so one enumeration serves every
+    region.  `check --trace` prints them."""
     cs = constants(fs, sp)
     _check_instance(fs, ps)
     s, r = fs.s, fs.total.rank
-    coeffs = _pivot_coeffs(ps, s)
-    simplex_eq = [make_row([1] * s, 1)]
-    nonneg = [make_row([1 if j == i else 0 for j in range(s)], 0) for i in range(s)]
-    out = []
-    for p in ps.pivots:
-        region_rows = [
-            make_row([xa - xb for xa, xb in zip(coeffs[p], coeffs[q])], 0)
-            for q in ps.pivots
-            if q != p
-        ]
-        points = []
-        for v in enumerate_vertices(simplex_eq, nonneg + region_rows, s):
-            rmax = sum((x * alpha for x, alpha in zip(coeffs[p], v)), Fraction(0))
-            points.append((v, _value(sp, cs, r, v, rmax)))
-        out.append((p, points))
-    return out
+    gs = _pivot_coeffs(ps, s)
+    eqs, bounds = _epigraph(list(gs.values()), s)
+    del bounds[s]  # z >= 0 follows from z >= g_p . w >= 0
+    vertices = enumerate_vertices(eqs, bounds, s + 1)
+    value = {v: _value(sp, cs, r, v[:s], v[s]) for v in vertices}
+    return [(p, [(v[:s], value[v]) for v in vs]) for p, vs in _by_pivot(gs, vertices)]
 
 
 def decide_destabilizing(
@@ -214,70 +260,54 @@ def decide_destabilizing(
     strictly positive weights violates stability only; a zero minimum attained
     only on the simplex boundary names the subfiltration supported on the
     positive coordinates instead of indicting the full flag.
+
+    The value c . w + r delta max_p g_p . w is convex (delta > 0), so its
+    minimum is the epigraph LP: minimize c . w + r delta z subject to sum w = 1,
+    w >= 0 and z >= g_p . w.  The columns with a strictly positive reduced cost
+    at the optimum vanish on every optimum; fixing them at zero leaves the
+    optimal face.  On the face max_p g_p . w is affine, so each pivot's region
+    meets it in a face: its vertices, grouped by the pivots attaining the
+    maximum there, are exactly the region vertices that reach the minimum.
+
+    The witness is the lexicographically least of them, and the attaining pivot
+    the least pivot with one.  A zero minimum is marginal when the vertices of
+    some region have a strictly positive centroid (a linear function minimized
+    on a face: the face then holds a strictly positive point); the witness is
+    then the centroid of the last such region in pivot order.
     """
     if strictness not in ("semi", "stable"):
         raise InstanceError(f"unknown strictness {strictness!r}")
-    regions = region_minima(fs, ps, sp)
-    if fs.s < 1:
+    cs = constants(fs, sp)
+    _check_instance(fs, ps)
+    s = fs.s
+    if s < 1:
         raise InstanceError("filtration has no steps")
+    gs = _pivot_coeffs(ps, s)
+    eqs, bounds = _epigraph(list(gs.values()), s)
+    costs = _lp_costs(cs, fs.total.rank * sp.delta, len(gs))
+    zero = simplex(*_start(costs, list(gs.values()), s), costs)
+    face = enumerate_vertices(eqs + [bounds[j] for j in zero], bounds[:s] + bounds[s + 1 :], s + 1)
+    regions = [(p, vs) for p, vs in _by_pivot(gs, face) if vs]
 
-    best_value: Optional[Value] = None
-    best_vertices: list[Weights] = []
-    best_pivot: Optional[Tuple_] = None
-    interior_witness: Optional[Weights] = None
-
-    for p, points in regions:
-        if not points:
-            continue
-        region_min = min(val for _, val in points)
-        minimizers = [v for v, val in points if val == region_min]
-        if best_value is None or region_min < best_value:
-            best_value = region_min
-            best_vertices = list(minimizers)
-            best_pivot = p
-            interior_witness = None
-        elif region_min == best_value:
-            best_vertices.extend(minimizers)
-            best_pivot = min(best_pivot, p)
-        # A linear function minimized on a face: the face holds a strictly
-        # positive point iff the centroid of its minimizing vertices is positive.
-        if region_min == best_value:
-            n = len(minimizers)
-            centroid = tuple(
-                sum((v[i] for v in minimizers), Fraction(0)) / n for i in range(fs.s)
-            )
-            if all(c > 0 for c in centroid):
-                interior_witness = centroid
-
-    assert best_value is not None and best_pivot is not None
-    best_vertices.sort()
-    witness = best_vertices[0]
-
-    if best_value < 0:
+    witness = face[0][:s]
+    min_value = _value(sp, cs, fs.total.rank, witness, face[0][s])
+    boundary = None
+    if min_value < 0:
         classification = STRICTLY_DESTABILIZED
-        boundary = None
-    elif best_value > 0:
+    elif min_value > 0:
         classification = STABLE_OK
-        boundary = None
-    elif interior_witness is not None:
-        classification = MARGINALLY_DESTABILIZED
-        witness = interior_witness
-        boundary = None
     else:
         classification = BOUNDARY_WITNESS
-        boundary = tuple(i + 1 for i, c in enumerate(witness) if c > 0)
-
-    violated = best_value < 0 or (
+        for _, vs in regions:
+            centroid = tuple(sum(v[i] for v in vs) / len(vs) for i in range(s))
+            if all(c > 0 for c in centroid):
+                classification, witness = MARGINALLY_DESTABILIZED, centroid
+        if classification == BOUNDARY_WITNESS:
+            boundary = tuple(i + 1 for i, c in enumerate(witness) if c > 0)
+    violated = min_value < 0 or (
         strictness == "stable" and classification == MARGINALLY_DESTABILIZED
     )
-    return CheckVerdict(
-        min_value=best_value,
-        witness=witness,
-        attaining_pivot=best_pivot,
-        classification=classification,
-        violated=violated,
-        boundary_support=boundary,
-    )
+    return CheckVerdict(min_value, witness, regions[0][0], classification, violated, boundary)
 
 
 def reduce_destabilizer(

@@ -3,6 +3,10 @@
 `enumerate_vertices` is the original vertex enumerator: Gaussian elimination
 over `Fraction` on the full system of every tight-constraint subset.  The
 library's fraction-free integer kernel must return exactly what it returns.
+`region_minima` and `decide_destabilizing` are the original per-pivot decision:
+the vertices of every pivot's linearity region, each region enumerated on its
+own, and the minimum over all of them; the library solves one epigraph LP and
+enumerates only its optimal face, and must return exactly what they return.
 `flag_pivots` is the original p1 flag pivot extraction through the full 0/1
 table; the library derives the pivots directly from the support's levels.
 """
@@ -14,12 +18,20 @@ from itertools import combinations, permutations
 from typing import Optional, Sequence
 
 from destab.pivots import PivotSet, Tuple_, ordered_tuples, pivots_from_matrix
-from destab.polytope import Row
+from destab.polytope import Row, make_row
+from destab.stability import (
+    BOUNDARY_WITNESS,
+    MARGINALLY_DESTABILIZED,
+    STABLE_OK,
+    STRICTLY_DESTABILIZED,
+    CheckVerdict,
+    constants,
+)
 
 
 def _eliminate(rows: Sequence[Row], dim: int) -> tuple[list[list[Fraction]], bool]:
     """Row-reduce the augmented system; returns (reduced rows, consistent)."""
-    mat = [list(coeffs) + [rhs] for coeffs, rhs in rows]
+    mat = [[Fraction(v) for v in coeffs] + [Fraction(rhs)] for coeffs, rhs in rows]
     pivot_row = 0
     for col in range(dim):
         pr = next((r for r in range(pivot_row, len(mat)) if mat[r][col] != 0), None)
@@ -84,6 +96,73 @@ def enumerate_vertices(
         if ok:
             found.add(point)
     return sorted(found)
+
+
+def region_minima(fs, ps, sp, kernel=enumerate_vertices):
+    """Vertices of each pivot p's region {w in the simplex : g_p . w >= g_q . w
+    for every pivot q}, one enumeration per region, with their exact values."""
+    cs = constants(fs, sp)
+    s, r = fs.s, fs.total.rank
+    coeffs = {p: tuple(sum(1 for c in p if c <= i) for i in range(1, s + 1)) for p in ps.pivots}
+    simplex_eq = [make_row([1] * s, 1)]
+    nonneg = [make_row([1 if j == i else 0 for j in range(s)], 0) for i in range(s)]
+    out = []
+    for p in ps.pivots:
+        region_rows = [
+            make_row([xa - xb for xa, xb in zip(coeffs[p], coeffs[q])], 0)
+            for q in ps.pivots
+            if q != p
+        ]
+        points = []
+        for v in kernel(simplex_eq, nonneg + region_rows, s):
+            rmax = sum((x * alpha for x, alpha in zip(coeffs[p], v)), Fraction(0))
+            points.append((v, sum(alpha * c for alpha, c in zip(v, cs)) + r * rmax * sp.delta))
+        out.append((p, points))
+    return out
+
+
+def decide_destabilizing(fs, ps, sp, strictness="semi", kernel=enumerate_vertices):
+    """Minimum over every region vertex; among the regions attaining it the
+    least pivot, the lexicographically least vertex, and the centroid of the
+    last region whose minimizing vertices have a strictly positive centroid."""
+    best_value = None
+    best_vertices: list = []
+    best_pivot = None
+    interior_witness = None
+    for p, points in region_minima(fs, ps, sp, kernel):
+        if not points:
+            continue
+        region_min = min(val for _, val in points)
+        minimizers = [v for v, val in points if val == region_min]
+        if best_value is None or region_min < best_value:
+            best_value, best_vertices, best_pivot = region_min, list(minimizers), p
+            interior_witness = None
+        elif region_min == best_value:
+            best_vertices.extend(minimizers)
+            best_pivot = min(best_pivot, p)
+        if region_min == best_value:
+            n = len(minimizers)
+            centroid = tuple(
+                sum((v[i] for v in minimizers), Fraction(0)) / n for i in range(fs.s)
+            )
+            if all(c > 0 for c in centroid):
+                interior_witness = centroid
+
+    witness = min(best_vertices)
+    boundary = None
+    if best_value < 0:
+        classification = STRICTLY_DESTABILIZED
+    elif best_value > 0:
+        classification = STABLE_OK
+    elif interior_witness is not None:
+        classification, witness = MARGINALLY_DESTABILIZED, interior_witness
+    else:
+        classification = BOUNDARY_WITNESS
+        boundary = tuple(i + 1 for i, c in enumerate(witness) if c > 0)
+    violated = best_value < 0 or (
+        strictness == "stable" and classification == MARGINALLY_DESTABILIZED
+    )
+    return CheckVerdict(best_value, witness, best_pivot, classification, violated, boundary)
 
 
 def flag_pivots(tensor, i: int, j: int) -> PivotSet:

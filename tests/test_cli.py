@@ -132,6 +132,36 @@ def test_non_integer_fields_are_rejected_by_path(tmp_path, capsys, instance, pat
 
 
 @pytest.mark.parametrize(
+    "instance, message",
+    [
+        ([RANK6_INSTANCE], "instance: expected an object"),
+        (
+            dict(RANK6_INSTANCE, mode="gieseker"),
+            "mode: expected 'slope' or 'hilbert', got 'gieseker'",
+        ),
+        (dict(RANK6_INSTANCE, steps={"rank": 1}), "steps: expected a list, got {'rank': 1}"),
+        (dict(RANK6_INSTANCE, steps=[3]), "steps[0]: expected an object"),
+        (dict(RANK6_INSTANCE, pivots="1144"), "pivots: expected a list, got '1144'"),
+        (dict(RANK6_INSTANCE, pivots=[]), "pivots: expected a nonempty list, got []"),
+        (dict(RANK6_INSTANCE, weights="1"), "weights: expected a list, got '1'"),
+        (
+            dict(RANK6_INSTANCE, weights=["1", "0", "2"]),
+            "weights[1]: expected a positive rational, got '0'",
+        ),
+        (
+            dict(RANK6_INSTANCE, weights=["1", "2", "-1/2"]),
+            "weights[2]: expected a positive rational, got '-1/2'",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["check", "reduce"])
+def test_structural_errors_name_their_json_path(tmp_path, capsys, instance, message, command):
+    code, out, err = run(capsys, [command, write_json(tmp_path, instance)])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "tensor, path",
     [
         ({"degrees": [-1, 0, 1.0], "support": [[1, 1, 1]]}, "degrees[2]"),

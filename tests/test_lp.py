@@ -1,0 +1,134 @@
+"""The epigraph-LP decision against the per-pivot oracle, SymPy and a work bound."""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+import destab.polytope
+from destab import (
+    FiltrationSpec,
+    PivotSet,
+    SheafData,
+    StabilityParam,
+    check_splitting,
+    decide_destabilizing,
+)
+from destab.cli import main
+from destab.instances import parse_instance
+from destab.model import InstanceError
+from destab.stability import MARGINALLY_DESTABILIZED, _pivot_coeffs, constants, region_minima
+
+import oracles
+from util import RANK6_INSTANCE, level_set_instance, rank6
+
+F = Fraction
+
+# s = 6 steps and |P| = 10 pivots from one level set: 30 030 tight subsets for
+# the per-pivot enumeration, one small LP here.
+S6_P10 = {
+    "mode": "slope",
+    "arity": 4,
+    "total": {"rank": 8, "degree": -9},
+    "steps": [
+        {"rank": 1, "degree": 4},
+        {"rank": 2, "degree": 4},
+        {"rank": 3, "degree": -2},
+        {"rank": 5, "degree": 3},
+        {"rank": 6, "degree": 0},
+        {"rank": 7, "degree": -8},
+    ],
+    "delta": "2",
+    "pivots": [
+        [1, 1, 5, 7], [1, 1, 6, 6], [1, 2, 5, 6], [1, 3, 4, 6], [1, 4, 4, 5],
+        [2, 2, 3, 7], [2, 3, 4, 5], [2, 4, 4, 4], [3, 3, 3, 5], [3, 3, 4, 4],
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def gate_instances():
+    rng = random.Random(4)
+    return [level_set_instance(rng, "hilbert" if k % 3 == 2 else "slope") for k in range(100)]
+
+
+def test_lp_decide_matches_the_per_pivot_oracle(gate_instances):
+    classes = set()
+    for fs, ps, sp in gate_instances:
+        for strictness in ("semi", "stable"):
+            got = decide_destabilizing(fs, ps, sp, strictness)
+            assert repr(got) == repr(oracles.decide_destabilizing(fs, ps, sp, strictness))
+            classes.add((sp.mode, strictness, got.classification))
+        assert repr(region_minima(fs, ps, sp)) == repr(oracles.region_minima(fs, ps, sp))
+    assert {fs.s for fs, _, _ in gate_instances} == {1, 2, 3, 4}
+    assert len(classes) == 16  # every verdict class in both modes and strictnesses
+
+
+def test_slope_minimum_matches_sympy_lpmin(gate_instances):
+    sympy = pytest.importorskip("sympy")
+    from sympy.solvers.simplex import lpmin
+
+    slope = [(fs, ps, sp) for fs, ps, sp in gate_instances if sp.mode == "slope"]
+    for fs, ps, sp in slope[:30]:
+        s = fs.s
+        free = sympy.symbols(f"w1:{s}")
+        z = sympy.Symbol("z")
+        # SymPy 1.14 returns infeasible points when sum w = 1 is stated as an
+        # equality (or as two inequalities), so the last weight is eliminated.
+        w = [*free, 1 - sum(free)]
+        bounds = [x >= 0 for x in w] + [z - sum(c * x for c, x in zip(g, w)) >= 0
+                                        for g in _pivot_coeffs(ps, s).values()]
+        objective = sum(sympy.Rational(str(c)) * x for c, x in zip(constants(fs, sp), w))
+        objective += fs.total.rank * sympy.Rational(str(sp.delta)) * z
+        value, _ = lpmin(objective, [b for b in bounds if b is not sympy.true])
+        assert F(int(value.p), int(value.q)) == decide_destabilizing(fs, ps, sp).min_value
+
+
+def test_marginal_witness_is_the_centroid_of_the_last_positive_region():
+    # The value vanishes on the segment [(1/2, 1/2), (1, 0)], all of it in the
+    # first pivot's region (centroid (3/4, 1/4)); the second region meets it
+    # only at (1/2, 1/2).  Both centroids are positive; the later pivot's wins.
+    fs = FiltrationSpec(4, 1, SheafData(4, 0), (SheafData(2, 0), SheafData(3, 0)))
+    ps = PivotSet.from_tuples([(1, 1, 2, 3), (1, 2, 2, 2)], t=3, arity=4)
+    sp = StabilityParam.slope(F(1, 2))
+    verdict = decide_destabilizing(fs, ps, sp)
+    assert verdict.classification == MARGINALLY_DESTABILIZED
+    assert verdict.witness == (F(1, 2), F(1, 2))
+    assert verdict.attaining_pivot == (1, 1, 2, 3)
+    assert repr(verdict) == repr(oracles.decide_destabilizing(fs, ps, sp))
+
+
+def test_decide_at_s6_p10_solves_few_tight_systems(monkeypatch):
+    fs, ps, sp, _ = parse_instance(S6_P10)
+    solve = destab.polytope.solve_unique
+    calls = []
+    monkeypatch.setattr(
+        destab.polytope, "solve_unique", lambda rows, dim: calls.append(dim) or solve(rows, dim)
+    )
+    verdict = decide_destabilizing(fs, ps, sp)
+    assert 1 <= len(calls) <= 100
+    assert verdict.min_value == F(-239, 5)
+    assert verdict.witness == (F(1, 5), F(2, 5), F(0), F(2, 5), F(0), F(0))
+    assert verdict.attaining_pivot == (1, 1, 5, 7)
+    assert verdict.violated
+
+
+def test_enumeration_guard_refuses_with_exit_2(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("DESTAB_GUARD", "2")
+    fs, ps, sp = rank6()
+    with pytest.raises(InstanceError, match=r"vertex enumeration too large: 20 tight subsets"):
+        region_minima(fs, ps, sp)  # C(6, 3): three weights, three bounds, three pivots
+    one_pivot = PivotSet.from_tuples([(2, 2, 3, 4)], t=4, arity=4)
+    with pytest.raises(InstanceError, match=r"\(C\(3, 2\)\) > 2"):
+        check_splitting(fs, one_pivot)
+    assert decide_destabilizing(fs, ps, sp).min_value == F(-4, 3)  # a 0-dimensional face
+
+    path = tmp_path / "rank6.json"
+    path.write_text(json.dumps(RANK6_INSTANCE), encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    capsys.readouterr()
+    assert main(["check", str(path), "--trace"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: vertex enumeration too large")

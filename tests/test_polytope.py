@@ -6,20 +6,12 @@ from fractions import Fraction
 import pytest
 
 import destab.stability
-from destab import (
-    FiltrationSpec,
-    PivotSet,
-    SheafData,
-    StabilityParam,
-    UniPoly,
-    check_splitting,
-    decide_destabilizing,
-)
-from destab.combinatorics import level_set
+from destab import check_splitting, decide_destabilizing
 from destab.polytope import enumerate_vertices, make_row
 from destab.stability import region_minima
 
 import oracles
+from util import level_set_instance
 
 F = Fraction
 
@@ -98,28 +90,6 @@ def test_edge_cases(eqs, ineqs, dim, expected):
     assert oracles.enumerate_vertices(eqs, ineqs, dim) == expected
 
 
-def _instance(rng, mode):
-    """s <= 4 steps of near-equal slope, pivots from one level set (an antichain)."""
-    s, arity = rng.randint(1, 4), rng.randint(2, 3)
-    middle = arity * (s + 2) // 2
-    tuples = level_set(arity, s + 1, rng.randint(middle - 1, middle + 1)).tuples
-    ps = PivotSet.from_tuples(rng.sample(tuples, min(4, len(tuples))), t=s + 1, arity=arity)
-    r = rng.randint(s + 1, 7)
-    m = rng.randint(-2, 2)
-
-    def datum(rank, degree):
-        poly = UniPoly.from_coeffs([degree + rng.randint(0, 2) * rank, rank])
-        return SheafData(rank, degree, poly if mode == "hilbert" else None)
-
-    ranks = sorted(rng.sample(range(1, r), s))
-    steps = [datum(rk, m * rk + rng.choice([-1, 0, 0, 1])) for rk in ranks]
-    fs = FiltrationSpec(arity, 1, datum(r, m * r), tuple(steps))
-    delta = F(rng.randint(1, 3), rng.randint(1, 3))
-    if mode == "hilbert":
-        return fs, ps, StabilityParam.hilbert(UniPoly.from_coeffs([rng.randint(-1, 1), delta]))
-    return fs, ps, StabilityParam.slope(delta)
-
-
 def _core_results(instances):
     out = []
     for fs, ps, sp in instances:
@@ -132,7 +102,7 @@ def _core_results(instances):
 
 def test_core_results_match_through_the_oracle_kernel(monkeypatch):
     rng = random.Random(4242)
-    instances = [_instance(rng, "hilbert" if k % 3 == 2 else "slope") for k in range(40)]
+    instances = [level_set_instance(rng, "hilbert" if k % 3 == 2 else "slope") for k in range(40)]
     assert {fs.s for fs, _, _ in instances} == {1, 2, 3, 4}
     fast = _core_results(instances)
     assert len({r.classification for r in fast[::4]}) == 4  # every verdict class occurs

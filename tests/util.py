@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from destab import FiltrationSpec, PivotSet, SheafData, StabilityParam
+from destab import FiltrationSpec, PivotSet, SheafData, StabilityParam, UniPoly
+from destab.combinatorics import level_set
 from destab.pivots import ordered_tuples
 
 # A rank-6 bundle with three strictly destabilizing steps; the smallest known
@@ -80,3 +81,26 @@ def random_weights(rng: random.Random, s: int) -> tuple[Fraction, ...]:
 
 def random_delta(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 8), rng.randint(1, 4))
+
+
+def level_set_instance(rng: random.Random, mode: str):
+    """s <= 4 steps of near-equal slope, so that zero minima occur, and pivots
+    from one level set (an antichain)."""
+    s, arity = rng.randint(1, 4), rng.randint(2, 3)
+    middle = arity * (s + 2) // 2
+    tuples = level_set(arity, s + 1, rng.randint(middle - 1, middle + 1)).tuples
+    ps = PivotSet.from_tuples(rng.sample(tuples, min(4, len(tuples))), t=s + 1, arity=arity)
+    r = rng.randint(s + 1, 7)
+    m = rng.randint(-2, 2)
+
+    def datum(rank, degree):
+        poly = UniPoly.from_coeffs([degree + rng.randint(0, 2) * rank, rank])
+        return SheafData(rank, degree, poly if mode == "hilbert" else None)
+
+    ranks = sorted(rng.sample(range(1, r), s))
+    steps = [datum(rk, m * rk + rng.choice([-1, 0, 0, 1])) for rk in ranks]
+    fs = FiltrationSpec(arity, 1, datum(r, m * r), tuple(steps))
+    delta = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+    if mode == "hilbert":
+        return fs, ps, StabilityParam.hilbert(UniPoly.from_coeffs([rng.randint(-1, 1), delta]))
+    return fs, ps, StabilityParam.slope(delta)
