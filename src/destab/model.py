@@ -38,13 +38,13 @@ class StabilityParam:
     def slope(value) -> "StabilityParam":
         value = Fraction(value)
         if value <= 0:
-            raise InstanceError("slope parameter must be positive")
+            raise InstanceError("delta: slope parameter must be positive")
         return StabilityParam(mode="slope", delta=value)
 
     @staticmethod
     def hilbert(poly: UniPoly) -> "StabilityParam":
         if poly.leading <= 0:
-            raise InstanceError("polynomial parameter must have positive leading coefficient")
+            raise InstanceError("delta: polynomial parameter needs a positive leading coefficient")
         return StabilityParam(mode="hilbert", delta=poly)
 
 

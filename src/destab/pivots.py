@@ -51,9 +51,9 @@ def ordered_tuples(arity: int, t: int) -> Iterator[Tuple_]:
 def _check_tuple(tup: Tuple_, arity: int, t: int) -> None:
     if len(tup) != arity:
         raise ValueError(f"tuple {tup} does not have arity {arity}")
-    if any(not 1 <= e <= t for e in tup):
+    if tup and not (1 <= min(tup) and max(tup) <= t):
         raise ValueError(f"tuple {tup} has entries outside 1..{t}")
-    if any(tup[k] > tup[k + 1] for k in range(len(tup) - 1)):
+    if list(tup) != sorted(tup):
         raise ValueError(f"tuple {tup} is not nondecreasing")
 
 
@@ -73,15 +73,19 @@ class PivotSet:
 
     @staticmethod
     def from_tuples(raw: Iterable[Tuple_], t: int, arity: int) -> "PivotSet":
-        """Keep only the maximal tuples; errors on empty input."""
-        tuples = {tuple(p) for p in raw}
+        """Keep only the maximal tuples; errors on empty input, and name an
+        invalid maximal tuple by its place in `raw`, as pivots[k]."""
+        given = [tuple(p) for p in raw]
+        tuples = set(given)
         if not tuples:
             raise ValueError("pivot set must be nonempty")
-        maximal = [
-            p
-            for p in tuples
-            if not any(q != p and dominated(p, q) for q in tuples)
-        ]
+        maximal = {p for p in tuples if not any(q != p and dominated(p, q) for q in tuples)}
+        for k, p in enumerate(given):
+            if p in maximal:
+                try:
+                    _check_tuple(p, arity, t)
+                except ValueError as exc:
+                    raise ValueError(f"pivots[{k}]: {exc}") from exc
         return PivotSet(t=t, arity=arity, pivots=tuple(sorted(maximal)))
 
 

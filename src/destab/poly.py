@@ -96,7 +96,7 @@ class UniPoly:
 
 def poly_cmp(p: UniPoly, q: Union[UniPoly, Scalar]) -> int:
     """Asymptotic comparison: -1 if p(x) < q(x) for x >> 0, 0 if equal, +1 otherwise."""
-    lead = (p - q if isinstance(q, UniPoly) or q else p).leading  # a sign test skips p - 0
+    lead = (p - q).leading
     if lead < 0:
         return -1
     if lead > 0:

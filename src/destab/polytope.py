@@ -2,15 +2,15 @@
 fraction-free integer arithmetic.
 
 Polytopes are given by equality rows (coeffs . x == rhs) and inequality rows
-(coeffs . x >= rhs) with rational (int or `Fraction`) entries, each scaled to
-integers once.  `simplex` minimizes over a feasible tableau by the primal
-simplex method with Bland's rule and names the variables that vanish on every
-optimum; `enumerate_vertices` then lists the vertices of that optimal face (or
-of any small polytope): the equalities are reduced once and their pivot
-variables substituted away, and every vertex turns `need` reduced inequalities
-tight, one per free variable.  Eliminations keep rows integral and primitive
-(no fractions); points are integer numerators over a common denominator until
-returned.  Intended scale is at most ~12 variables.
+(coeffs . x >= rhs) with integer entries.  `simplex` minimizes integer cost
+rows, ordered lexicographically, over a feasible tableau by the primal simplex
+method with Bland's rule and names the variables that vanish on every optimum;
+`enumerate_vertices` then lists the vertices of that optimal face (or of any
+small polytope): the equalities are reduced once and their pivot variables
+substituted away, and every vertex turns `need` reduced inequalities tight, one
+per free variable.  Eliminations keep rows integral and primitive (no
+fractions); points are integer numerators over a common denominator until
+returned as `Fraction`s.  Intended scale is at most ~12 variables.
 """
 
 from __future__ import annotations
@@ -18,17 +18,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
-from typing import Any, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .model import InstanceError, guard_limit
 
-Row = tuple[tuple, Any]  # (coefficients, right-hand side), each an int or a Fraction
+Row = tuple[Sequence[int], int]  # (coefficients, right-hand side)
 IntRow = list[int]  # integer coefficients followed by the right-hand side
 Point = tuple[tuple[int, ...], int]  # (numerators, positive common denominator)
-
-
-def make_row(coeffs: Iterable, rhs) -> Row:
-    return tuple(Fraction(c) for c in coeffs), Fraction(rhs)
 
 
 def _primitive(row: IntRow) -> IntRow:
@@ -36,15 +32,10 @@ def _primitive(row: IntRow) -> IntRow:
     return [v // g for v in row] if g > 1 else row
 
 
-def _integer_row(row: Row) -> IntRow:
-    values = (*row[0], row[1])
-    scale = lcm(*(v.denominator for v in values))
-    return _primitive([v.numerator * (scale // v.denominator) for v in values])
-
-
 def _eliminate(mat: list[IntRow], k: int, col: int) -> None:
     """Clear column `col` from every row but row k, whose entry there is positive;
-    each changed row is a positive multiple of the exact result, made primitive."""
+    each changed row is a positive multiple of the exact result, made primitive.
+    A row shorter than row k (a cost row with no right-hand side) stays short."""
     prow = mat[k]
     pivot = prow[col]
     for i, row in enumerate(mat):
@@ -85,53 +76,50 @@ def solve_unique(rows: Sequence[IntRow], dim: int) -> Optional[Point]:
     return tuple(row[dim] * (den // row[col]) for col, row in reduced), den
 
 
-def simplex(tableau: list[IntRow], basis: list[int], costs: Sequence) -> list[int]:
-    """Minimize costs . x over {x >= 0 : tableau rows hold}; return the columns
-    whose reduced cost is strictly positive at the optimum.
+def simplex(tableau: list[IntRow], basis: list[int], costs: Sequence[Sequence[int]]) -> list[int]:
+    """Minimize the costs over {x >= 0 : tableau rows hold}; return the columns
+    whose reduced cost is lexicographically positive at the optimum.
 
-    These are exactly the variables that vanish on every optimum (complementary
+    `costs` are integer rows over the columns, most significant first: the cost
+    of column j is the tuple of the rows' entries at j, compared
+    lexicographically (one row is an ordinary objective).  The columns returned
+    are exactly the variables that vanish on every optimum (complementary
     slackness): the optimal face is the feasible set with them fixed at zero.
-    The tableau must be feasible and in canonical form for `basis`: row r has
-    a positive entry in column basis[r], zeros in the other basic columns and a
-    nonnegative right-hand side.  Pivots follow Bland's rule (Bland 1977), so
-    the method terminates, and keep every row integral and primitive.  Costs
-    are all ints, or all ordered values of one kind with `+`, `-`, integer
-    scaling and `<`/`>` against 0, such as `UniPoly`.  The objective row is
-    only ever scaled by positive pivots, so its signs stay the signs of the
-    reduced costs.
+    The tableau must be feasible and in canonical form for `basis`: row r has a
+    positive entry in column basis[r], zeros in the other basic columns and a
+    nonnegative right-hand side.  The cost rows, with no right-hand side, go
+    below it, and `_eliminate` prices them out and pivots them with the rest.
+    It scales each row by a positive factor only, so every entry keeps the sign
+    of its reduced cost, and every column's tuple its order.  Pivots follow
+    Bland's rule (Bland 1977), so the method terminates.
     """
-    obj = list(costs)
-    for row, b in zip(tableau, basis):
-        if costs[b] < 0 or costs[b] > 0:  # price out basic column b
-            obj = _combine(obj, row[b], costs[b], row)
+    m = len(tableau)
+    mat = [*tableau, *costs]
+    for k, b in enumerate(basis):  # price out the basic columns
+        _eliminate(mat, k, b)
     while True:
-        enter = next((j for j, o in enumerate(obj) if o < 0), None)
+        lead = mat[m]
+        for row in mat[m + 1 :]:  # the first nonzero entry of each column's tuple
+            lead = [a or b for a, b in zip(lead, row)]
+        enter = next((j for j, c in enumerate(lead) if c < 0), None)
         if enter is None:
-            return [j for j, o in enumerate(obj) if o > 0]
+            return [j for j, c in enumerate(lead) if c > 0]
         leave = None
-        for k, row in enumerate(tableau):  # minimum ratio, ties to the least basic index
+        for k in range(m):  # minimum ratio, ties to the least basic index
+            row = mat[k]
             a = row[enter]
             if a > 0:
                 if leave is None:
                     leave = k
                     continue
-                best = tableau[leave]
+                best = mat[leave]
                 lhs, rhs = row[-1] * best[enter], best[-1] * a
                 if lhs < rhs or (lhs == rhs and basis[k] < basis[leave]):
                     leave = k
         if leave is None:
             raise ValueError("the objective is unbounded below")
-        _eliminate(tableau, leave, enter)
-        obj = _combine(obj, tableau[leave][enter], obj[enter], tableau[leave])
+        _eliminate(mat, leave, enter)
         basis[leave] = enter
-
-
-def _combine(obj: list, m: int, f: Any, row: IntRow) -> list:
-    """m * obj - f * row over the objective's columns, for m > 0; unit and zero
-    factors are skipped, because scaling a polynomial is not free."""
-    if m != 1:
-        obj = [o * m for o in obj]
-    return [o - f * a if a else o for o, a in zip(obj, row)]
 
 
 def enumerate_vertices(
@@ -142,7 +130,7 @@ def enumerate_vertices(
     Refuses with `InstanceError` when the tight subsets to try, C(#inequalities,
     need), exceed `guard_limit(1_000_000)`.
     """
-    reduced = _reduce(map(_integer_row, equalities), dim)
+    reduced = _reduce((_primitive([*a, b]) for a, b in equalities), dim)
     if reduced is None:
         return []
     pivots = {col for col, _ in reduced}
@@ -158,7 +146,7 @@ def enumerate_vertices(
     # Substitute each pivot variable: scale * (a . x - b) >= 0 in the free variables.
     eqs = [(col, scale // row[col], [row[c] for c in free] + [row[dim]]) for col, row in reduced]
     ineqs = []
-    for row in map(_integer_row, inequalities):
+    for row in (_primitive([*a, b]) for a, b in inequalities):
         out = [scale * row[c] for c in free] + [scale * row[dim]]
         for col, mult, eq in eqs:
             f = row[col] * mult

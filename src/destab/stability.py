@@ -7,6 +7,9 @@ modes (slope mode is Hilbert mode with constant values).  Only
 `model.sheaf_values` knows the mode.  The destabilization decision minimizes
 the convex piecewise-linear stability value over the closed weight simplex by
 one exact epigraph LP, then enumerates the vertices of its optimal face only.
+The LP sees integers only: `_lp_costs` writes the values' coefficients,
+leading degree first, as integer cost rows, and their lexicographic order is
+the asymptotic order of the values.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .model import (
 )
 from .pivots import PivotSet, Tuple_, matrix_from_pivots, project_pivots
 from .poly import UniPoly
-from .polytope import Row, enumerate_vertices, make_row, simplex
+from .polytope import IntRow, Row, enumerate_vertices, simplex
 
 Value = Union[Fraction, UniPoly]
 Weights = tuple[Fraction, ...]
@@ -47,7 +50,7 @@ def _check_instance(
             f"filtration with t={fs.t}, arity={fs.arity}"
         )
     if w is not None and len(w) != fs.s:
-        raise InstanceError(f"expected {fs.s} weights, got {len(w)}")
+        raise InstanceError(f"weights: expected one per step ({fs.s}), got {len(w)}")
 
 
 def constants(fs: FiltrationSpec, sp: StabilityParam) -> list[Value]:
@@ -189,13 +192,14 @@ def _epigraph(gs: Sequence[Tuple_], s: int) -> tuple[list[Row], list[Row]]:
     ]
 
 
-def _start(costs: Sequence, gs: Sequence[Tuple_], s: int) -> tuple[list[list[int]], list[int]]:
+def _start(costs: list[list[int]], gs: Sequence[Tuple_], s: int) -> tuple[list[IntRow], list[int]]:
     """Canonical tableau of the epigraph LP at its cheapest simplex vertex
-    w = e_i, z = max_p g_p[i].  Columns are w, z and the pivots' slacks; the
-    basis is w_i, z and the slack of every pivot but the first attaining that
-    maximum.  Every basic entry is 1, so the rows are plain integers."""
+    w = e_i, z = max_p g_p[i], priced by the lexicographic cost rows.  Columns
+    are w, z and the pivots' slacks; the basis is w_i, z and the slack of every
+    pivot but the first attaining that maximum.  Every basic entry is 1, so the
+    rows are plain integers."""
     tops = [max(g[i] for g in gs) for i in range(s)]
-    i = min(range(s), key=lambda j: costs[j] + costs[s] * tops[j])
+    i = min(range(s), key=lambda j: [row[j] + row[s] * tops[j] for row in costs])
     k0 = next(k for k, g in enumerate(gs) if g[i] == tops[i])
     g0, ks = gs[k0], range(len(gs))
     z_w = [g0[i] - g0[j] for j in range(s)]
@@ -212,14 +216,17 @@ def _start(costs: Sequence, gs: Sequence[Tuple_], s: int) -> tuple[list[list[int
     return tableau, basis
 
 
-def _lp_costs(cs: Sequence[Value], rdelta: Value, npiv: int) -> list:
-    """Column costs of the epigraph LP; `Fraction` costs are scaled to integers by
-    a positive lcm, which keeps the minimizers, and polynomial costs stay as they are."""
-    values = [*cs, rdelta]
-    if all(isinstance(v, Fraction) for v in values):
-        scale = lcm(*(v.denominator for v in values))
-        values = [v.numerator * (scale // v.denominator) for v in values]
-    return values + [values[-1] * 0] * npiv  # the slacks cost a zero of the same kind
+def _lp_costs(cs: Sequence[Value], rdelta: Value, npiv: int) -> list[list[int]]:
+    """Integer cost rows of the epigraph LP, most significant first: with D the
+    highest degree, row k holds every column's coefficient of degree D - k (a
+    `Fraction` is a constant), all scaled by one positive lcm, so a column's
+    entries in lexicographic order compare as its value does for large
+    arguments.  The slacks cost 0."""
+    coeffs = [v.coeffs[::-1] if isinstance(v, UniPoly) else (v,) for v in (*cs, rdelta)]
+    n = max(map(len, coeffs))
+    rows = list(zip(*[(0,) * (n - len(c)) + c for c in coeffs]))
+    scale = lcm(*[x.denominator for row in rows for x in row])
+    return [[x.numerator * (scale // x.denominator) for x in row] + [0] * npiv for row in rows]
 
 
 def _by_pivot(
@@ -357,17 +364,11 @@ def check_splitting(
     s = fs.s
     if s < 1:
         raise InstanceError("filtration has no steps")
-    coeffs = _pivot_coeffs(ps, s)
-    first = ps.pivots[0]
-    equalities = [make_row([1] * s, 1)]
-    for q in ps.pivots[1:]:
-        equalities.append(
-            make_row([xa - xb for xa, xb in zip(coeffs[first], coeffs[q])], 0)
-        )
-    nonneg = [make_row([1 if j == i else 0 for j in range(s)], 0) for i in range(s)]
-    vertices = enumerate_vertices(equalities, nonneg, s)
+    eqs, bounds = _epigraph(list(_pivot_coeffs(ps, s).values()), s)
+    # All pivot sums equal: z = g_p . w for every pivot p, with w on the simplex.
+    vertices = enumerate_vertices(eqs + bounds[s + 1 :], bounds[:s], s + 1)
     if vertices:
-        return True, vertices[0]
+        return True, vertices[0][:s]
     return False, None
 
 

@@ -2,7 +2,8 @@
 
 `enumerate_vertices` is the original vertex enumerator: Gaussian elimination
 over `Fraction` on the full system of every tight-constraint subset.  The
-library's fraction-free integer kernel must return exactly what it returns.
+library's fraction-free integer kernel must return exactly what it returns;
+`make_row` writes a rational row as the integer row that kernel takes.
 `region_minima` and `decide_destabilizing` are the original per-pivot decision:
 the vertices of every pivot's linearity region, each region enumerated on its
 own, and the minimum over all of them; the library solves one epigraph LP and
@@ -15,10 +16,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Optional, Sequence
+from math import lcm
+from typing import Iterable, Optional, Sequence
 
 from destab.pivots import PivotSet, Tuple_, ordered_tuples, pivots_from_matrix
-from destab.polytope import Row, make_row
+from destab.polytope import Row
 from destab.stability import (
     BOUNDARY_WITNESS,
     MARGINALLY_DESTABILIZED,
@@ -27,6 +29,15 @@ from destab.stability import (
     CheckVerdict,
     constants,
 )
+
+
+def make_row(coeffs: Iterable, rhs) -> Row:
+    """The rational row coeffs . x (op) rhs as an integer row with the same
+    solutions, scaled by the positive lcm of its denominators."""
+    values = [Fraction(v) for v in (*coeffs, rhs)]
+    scale = lcm(*(v.denominator for v in values))
+    *ints, b = (int(v * scale) for v in values)
+    return tuple(ints), b
 
 
 def _eliminate(rows: Sequence[Row], dim: int) -> tuple[list[list[Fraction]], bool]:

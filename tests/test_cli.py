@@ -98,6 +98,9 @@ def test_reduce_rank6_keeps_all_steps(tmp_path, capsys):
     assert report["subset"] == [1, 2, 3]
     assert len(report["trace"]) == 3
     assert all(not entry["violated"] for entry in report["trace"])
+    # reduce ignores weights, even of the wrong count
+    with_weights = dict(RANK6_INSTANCE, weights=["1"])
+    assert run(capsys, ["reduce", write_json(tmp_path, with_weights)]) == (1, out, "")
 
 
 def test_reduce_rejects_non_violating_instance(tmp_path, capsys):
@@ -105,6 +108,17 @@ def test_reduce_rejects_non_violating_instance(tmp_path, capsys):
     assert code == 2
     assert "nothing to reduce" in err
     assert err.startswith("error: ")
+
+
+def _hilbert(instance, total, step, delta):
+    """The same instance in hilbert mode, with the given polynomials."""
+    return dict(
+        instance,
+        mode="hilbert",
+        total=dict(instance["total"], hilbert=total),
+        steps=[dict(instance["steps"][0], hilbert=step)],
+        delta=delta,
+    )
 
 
 def _with_step_rank(rank):
@@ -131,34 +145,56 @@ def test_non_integer_fields_are_rejected_by_path(tmp_path, capsys, instance, pat
     assert err.startswith(f"error: {path}: expected ")
 
 
-@pytest.mark.parametrize(
-    "instance, message",
-    [
-        ([RANK6_INSTANCE], "instance: expected an object"),
-        (
-            dict(RANK6_INSTANCE, mode="gieseker"),
-            "mode: expected 'slope' or 'hilbert', got 'gieseker'",
-        ),
-        (dict(RANK6_INSTANCE, steps={"rank": 1}), "steps: expected a list, got {'rank': 1}"),
-        (dict(RANK6_INSTANCE, steps=[3]), "steps[0]: expected an object"),
-        (dict(RANK6_INSTANCE, pivots="1144"), "pivots: expected a list, got '1144'"),
-        (dict(RANK6_INSTANCE, pivots=[]), "pivots: expected a nonempty list, got []"),
-        (dict(RANK6_INSTANCE, weights="1"), "weights: expected a list, got '1'"),
-        (
-            dict(RANK6_INSTANCE, weights=["1", "0", "2"]),
-            "weights[1]: expected a positive rational, got '0'",
-        ),
-        (
-            dict(RANK6_INSTANCE, weights=["1", "2", "-1/2"]),
-            "weights[2]: expected a positive rational, got '-1/2'",
-        ),
-    ],
-)
+STRUCTURAL_ERRORS = [
+    ([RANK6_INSTANCE], "instance: expected an object"),
+    (
+        dict(RANK6_INSTANCE, mode="gieseker"),
+        "mode: expected 'slope' or 'hilbert', got 'gieseker'",
+    ),
+    (dict(RANK6_INSTANCE, steps={"rank": 1}), "steps: expected a list, got {'rank': 1}"),
+    (dict(RANK6_INSTANCE, steps=[3]), "steps[0]: expected an object"),
+    (dict(RANK6_INSTANCE, pivots="1144"), "pivots: expected a list, got '1144'"),
+    (dict(RANK6_INSTANCE, pivots=[]), "pivots: expected a nonempty list, got []"),
+    (dict(RANK6_INSTANCE, weights="1"), "weights: expected a list, got '1'"),
+    (
+        dict(RANK6_INSTANCE, weights=["1", "0", "2"]),
+        "weights[1]: expected a positive rational, got '0'",
+    ),
+    (
+        dict(RANK6_INSTANCE, weights=["1", "2", "-1/2"]),
+        "weights[2]: expected a positive rational, got '-1/2'",
+    ),
+    (dict(RANK6_INSTANCE, delta="0"), "delta: slope parameter must be positive"),
+    (
+        _hilbert(PASSING_INSTANCE, ["0", "2"], ["-5", "1"], ["1", "-1"]),
+        "delta: polynomial parameter needs a positive leading coefficient",
+    ),
+    (
+        dict(RANK6_INSTANCE, pivots=[[1, 1, 4, 4], [1, 2, 2, 5]]),
+        "pivots[1]: tuple (1, 2, 2, 5) has entries outside 1..4",
+    ),
+    (
+        dict(PASSING_INSTANCE, pivots=[[2, 2], [1, 2, 2, 2]]),
+        "pivots[1]: tuple (1, 2, 2, 2) does not have arity 2",
+    ),
+    (dict(PASSING_INSTANCE, pivots=[[2, 1]]), "pivots[0]: tuple (2, 1) is not nondecreasing"),
+]
+
+
+@pytest.mark.parametrize("instance, message", STRUCTURAL_ERRORS)
 @pytest.mark.parametrize("command", ["check", "reduce"])
 def test_structural_errors_name_their_json_path(tmp_path, capsys, instance, message, command):
     code, out, err = run(capsys, [command, write_json(tmp_path, instance)])
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_check_counts_weights_per_step(tmp_path, capsys):
+    # `reduce` ignores weights, so only `check` counts them.
+    instance = dict(RANK6_INSTANCE, weights=["1"])
+    code, out, err = run(capsys, ["check", write_json(tmp_path, instance)])
+    assert code == 2 and out == ""
+    assert err == "error: weights: expected one per step (3), got 1\n"
 
 
 @pytest.mark.parametrize(
@@ -173,17 +209,6 @@ def test_p1_non_integer_fields_are_rejected_by_path(tmp_path, capsys, tensor, pa
     code, _, err = run(capsys, ["p1", "check", write_json(tmp_path, tensor)])
     assert code == 2
     assert err.startswith(f"error: {path}: expected ")
-
-
-def _hilbert(instance, total, step, delta):
-    """The same instance in hilbert mode, with the given polynomials."""
-    return dict(
-        instance,
-        mode="hilbert",
-        total=dict(instance["total"], hilbert=total),
-        steps=[dict(instance["steps"][0], hilbert=step)],
-        delta=delta,
-    )
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import destab.polytope
+from destab.polytope import simplex
 from destab import (
     FiltrationSpec,
     PivotSet,
@@ -50,7 +51,9 @@ S6_P10 = {
 @pytest.fixture(scope="module")
 def gate_instances():
     rng = random.Random(4)
-    return [level_set_instance(rng, "hilbert" if k % 3 == 2 else "slope") for k in range(100)]
+    instances = [level_set_instance(rng, "hilbert" if k % 3 == 2 else "slope") for k in range(100)]
+    # Degree-2 polynomials: leading costs cancel but at the steps of lower degree.
+    return instances + [level_set_instance(rng, "hilbert", degree=2) for _ in range(30)]
 
 
 def test_lp_decide_matches_the_per_pivot_oracle(gate_instances):
@@ -83,6 +86,19 @@ def test_slope_minimum_matches_sympy_lpmin(gate_instances):
         objective += fs.total.rank * sympy.Rational(str(sp.delta)) * z
         value, _ = lpmin(objective, [b for b in bounds if b is not sympy.true])
         assert F(int(value.p), int(value.q)) == decide_destabilizing(fs, ps, sp).min_value
+
+
+def test_simplex_compares_cost_rows_lexicographically():
+    def solve(costs):  # minimize over x0 + x1 + x2 = 1, x >= 0, from x = e_0
+        basis = [0]
+        return simplex([[1, 1, 1, 1]], basis, costs), basis
+
+    # The leading row ties; the second alone lets x2 enter and fixes x0, x1 at 0.
+    assert solve([[2, 2, 2], [0, 3, -1]]) == ([0, 1], [2])
+    assert solve([[2, 2, 2]]) == ([], [0])
+    # The leading row outranks the second: x1 costs more first, however cheap next.
+    assert solve([[0, 1, 0], [0, -5, -1]]) == ([0, 1], [2])
+    assert solve([[0, -5, -1]]) == ([0, 2], [1])
 
 
 def test_marginal_witness_is_the_centroid_of_the_last_positive_region():

@@ -7,10 +7,11 @@ import pytest
 
 import destab.stability
 from destab import check_splitting, decide_destabilizing
-from destab.polytope import enumerate_vertices, make_row
+from destab.polytope import enumerate_vertices
 from destab.stability import region_minima
 
 import oracles
+from oracles import make_row
 from util import level_set_instance
 
 F = Fraction

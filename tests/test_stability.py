@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from destab import (
     FiltrationSpec,
@@ -32,7 +34,7 @@ from destab.stability import (
     STABLE_OK,
     STRICTLY_DESTABILIZED,
 )
-from util import rank6, random_filtration, random_pivots, random_weights
+from util import level_set_instance, rank6, random_filtration, random_pivots, random_weights
 
 F = Fraction
 
@@ -201,6 +203,22 @@ def test_check_k_semistable_boundary_case():
     assert constants(fs, sp) == [F(-2)]  # k=1, r*delta*k = 3: holds loosely
     assert check_k_semistable(fs, ps, sp) == [True]
     assert check_k_semistable(fs, ps, sp, strict=True) == [True]
+
+
+@settings(deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from([("slope", 1), ("hilbert", 1), ("hilbert", 2)]),
+)
+def test_value_at_a_simplex_vertex_is_the_step_condition(rng, kind):
+    # At w = e_i the maximum over pivots is k_of_level(i): the value is c_i + r delta k_i.
+    fs, ps, sp = level_set_instance(rng, *kind)
+    r, s = fs.total.rank, fs.s
+    semi, stable = check_k_semistable(fs, ps, sp), check_k_semistable(fs, ps, sp, strict=True)
+    for i, c in enumerate(constants(fs, sp)):
+        value = objective(fs, ps, tuple(F(int(j == i)) for j in range(s)), sp)
+        assert value == c + r * k_of_level(ps, i + 1) * sp.delta
+        assert (semi[i], stable[i]) == (not value < 0, value > 0)
 
 
 def test_decide_rank6_minimum():

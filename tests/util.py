@@ -83,22 +83,34 @@ def random_delta(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 8), rng.randint(1, 4))
 
 
-def level_set_instance(rng: random.Random, mode: str):
+def level_set_instance(rng: random.Random, mode: str, degree: int = 1):
     """s <= 4 steps of near-equal slope, so that zero minima occur, and pivots
-    from one level set (an antichain)."""
+    from one level set (an antichain).
+
+    In hilbert mode the polynomials are linear with leading coefficient the
+    rank, or, at degree 2, quadratic with leading coefficient the rank or, for
+    some steps, 0.  The rank-proportional coefficients cancel in the constants,
+    so the LP's leading cost row is 0 except at the steps of lower degree: it
+    must keep those at weight 0, and the next row decides among the rest."""
     s, arity = rng.randint(1, 4), rng.randint(2, 3)
     middle = arity * (s + 2) // 2
     tuples = level_set(arity, s + 1, rng.randint(middle - 1, middle + 1)).tuples
     ps = PivotSet.from_tuples(rng.sample(tuples, min(4, len(tuples))), t=s + 1, arity=arity)
     r = rng.randint(s + 1, 7)
     m = rng.randint(-2, 2)
+    linear = rng.randint(-1, 2) if degree == 2 else 1
 
-    def datum(rank, degree):
-        poly = UniPoly.from_coeffs([degree + rng.randint(0, 2) * rank, rank])
-        return SheafData(rank, degree, poly if mode == "hilbert" else None)
+    def datum(rank, deg, quadratic=1):
+        coeffs = [deg + rng.randint(0, 2) * rank, rank * linear]
+        if degree == 2:
+            coeffs.append(rank * quadratic)
+        return SheafData(rank, deg, UniPoly.from_coeffs(coeffs) if mode == "hilbert" else None)
 
     ranks = sorted(rng.sample(range(1, r), s))
-    steps = [datum(rk, m * rk + rng.choice([-1, 0, 0, 1])) for rk in ranks]
+    steps = [
+        datum(rk, m * rk + rng.choice([-1, 0, 0, 1]), rng.choice([0, 1, 1]) if degree == 2 else 1)
+        for rk in ranks
+    ]
     fs = FiltrationSpec(arity, 1, datum(r, m * r), tuple(steps))
     delta = Fraction(rng.randint(1, 3), rng.randint(1, 3))
     if mode == "hilbert":
