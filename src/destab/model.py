@@ -88,23 +88,21 @@ class FiltrationSpec:
 
 
 def validate_filtration(fs: FiltrationSpec) -> None:
-    """Check all filtration invariants, raising on the first violation."""
-    if fs.arity < 1:
-        raise InstanceError(f"arity must be >= 1, got {fs.arity}")
-    if fs.multiplicity < 1:
-        raise InstanceError(f"multiplicity must be >= 1, got {fs.multiplicity}")
-    if fs.total.rank < 1:
-        raise InstanceError(f"total rank must be >= 1, got {fs.total.rank}")
+    """Check all filtration invariants, raising on the first violation with
+    its JSON path."""
+    positive = {"arity": fs.arity, "multiplicity": fs.multiplicity, "total.rank": fs.total.rank}
+    for path, value in positive.items():
+        if value < 1:
+            raise InstanceError(f"{path}: expected a positive integer, got {value}")
     prev = 0
-    for k, st in enumerate(fs.steps, start=1):
+    for k, st in enumerate(fs.steps):
         if st.rank <= prev:
-            raise InstanceError(
-                f"step {k}: ranks must be strictly increasing ({st.rank} after {prev})"
-            )
+            raise InstanceError(f"steps[{k}].rank: expected a rank above {prev}, got {st.rank}")
         prev = st.rank
-    if fs.steps and fs.steps[-1].rank >= fs.total.rank:
+    if fs.steps and prev >= fs.total.rank:
         raise InstanceError(
-            f"last step rank {fs.steps[-1].rank} must be < total rank {fs.total.rank}"
+            f"steps[{fs.s - 1}].rank: expected a rank below the total rank "
+            f"{fs.total.rank}, got {prev}"
         )
 
 
@@ -116,6 +114,8 @@ def sheaf_values(fs: FiltrationSpec, sp: StabilityParam) -> list[Union[int, UniP
         return [sd.degree for sd in sheaves]
     if sp.mode != "hilbert":
         raise InstanceError(f"unknown mode {sp.mode!r}")
-    if any(sd.hilbert is None for sd in sheaves):
-        raise InstanceError("hilbert mode requires a polynomial on every sheaf datum")
+    missing = next((k for k, sd in enumerate(sheaves) if sd.hilbert is None), None)
+    if missing is not None:
+        path = f"steps[{missing - 1}]" if missing else "total"
+        raise InstanceError(f"{path}.hilbert: expected a coefficient list in hilbert mode")
     return [sd.hilbert for sd in sheaves]

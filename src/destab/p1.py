@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 from .model import FiltrationSpec, InstanceError, SheafData, StabilityParam
 from .pivots import PivotSet, Tuple_, tuple_cmp, Rel, ordered_tuples
@@ -39,23 +39,22 @@ class P1Tensor:
 
 
 def validate_p1(tensor: P1Tensor) -> None:
-    d = tensor.degrees
+    """Check the tensor, raising on the first fault with its JSON path."""
+    d = list(tensor.degrees)
     if len(d) != 3 or sum(d) != 0:
-        raise InstanceError(f"degrees must be three integers summing to 0, got {d}")
+        raise InstanceError(f"degrees: expected three integers summing to 0, got {d}")
     if not (d[0] <= d[1] <= d[2]):
-        raise InstanceError(f"degrees must be sorted nondecreasingly, got {d}")
+        raise InstanceError(f"degrees: expected a nondecreasing order, got {d}")
     if tensor.delta <= 0:
-        raise InstanceError("delta must be positive")
+        raise InstanceError(f"delta: expected a positive rational, got {tensor.delta}")
     if not tensor.support:
-        raise InstanceError("support must be nonempty")
+        raise InstanceError("support: expected a nonempty list, got []")
     for m in tensor.support:
         if len(m) != 3 or tuple(sorted(m)) != m or any(i not in (1, 2, 3) for i in m):
-            raise InstanceError(f"invalid support multiset {m}")
+            raise InstanceError(f"support: expected multisets of 3 indices in 1..3, got {list(m)}")
         if sum(d[i - 1] for i in m) > 0:
-            raise InstanceError(
-                f"support multiset {m} has positive degree sum; "
-                "no nonzero map to the trivial bundle exists"
-            )
+            # else no nonzero map from the summands to the trivial bundle exists
+            raise InstanceError(f"support: expected degree sums <= 0, got {list(m)}")
 
 
 def flag_pivots(tensor: P1Tensor, i: int, j: int) -> PivotSet:
@@ -107,25 +106,29 @@ class P1Verdict:
 
 
 def is_semistable_p1(tensor: P1Tensor, strictness: str = "semi") -> P1Verdict:
-    """Decide (semi)stability by running all six flag filtrations exactly."""
+    """Decide (semi)stability by running all six flag filtrations exactly.
+
+    The verdict reads off the six minima alone: all >= 0 (semi), all > 0
+    (stable).  The step conditions are only reported, as the minima imply
+    them: the value at a vertex e_i of a flag's weight segment is step i's
+    condition, and a zero minimum there is either marginal or attained only at
+    an end e_i, whose strict step condition then fails.
+    """
     validate_p1(tensor)
     sp = StabilityParam.slope(tensor.delta)
     flags = []
     steps = []
-    ok = True
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            if i == j:
-                continue
-            fs = _flag_filtration(tensor, i, j)
-            ps = flag_pivots(tensor, i, j)
-            verdict = decide_destabilizing(fs, ps, sp, strictness)
-            flags.append((i, j, verdict))
-            conds = check_k_semistable(fs, ps, sp, strict=(strictness == "stable"))
-            steps.append((i, j, (conds[0], conds[1])))
-            if verdict.violated or not all(conds):
-                ok = False
-    return P1Verdict(semistable=ok, flags=tuple(flags), step_conditions=tuple(steps))
+    for i, j in permutations((1, 2, 3), 2):
+        fs = _flag_filtration(tensor, i, j)
+        ps = flag_pivots(tensor, i, j)
+        flags.append((i, j, decide_destabilizing(fs, ps, sp, strictness)))
+        conds = check_k_semistable(fs, ps, sp, strict=(strictness == "stable"))
+        steps.append((i, j, (conds[0], conds[1])))
+    if strictness == "stable":
+        semistable = all(v.min_value > 0 for _, _, v in flags)
+    else:
+        semistable = all(v.min_value >= 0 for _, _, v in flags)
+    return P1Verdict(semistable, tuple(flags), tuple(steps))
 
 
 def enumerate_two_pivot_matrices() -> list[tuple[Tuple_, Tuple_]]:

@@ -3,14 +3,15 @@ fraction-free integer arithmetic.
 
 Polytopes are given by equality rows (coeffs . x == rhs) and inequality rows
 (coeffs . x >= rhs) with integer entries.  `simplex` minimizes integer cost
-rows, ordered lexicographically, over a feasible tableau by the primal simplex
-method with Bland's rule and names the variables that vanish on every optimum;
-`enumerate_vertices` then lists the vertices of that optimal face (or of any
-small polytope): the equalities are reduced once and their pivot variables
-substituted away, and every vertex turns `need` reduced inequalities tight, one
-per free variable.  Eliminations keep rows integral and primitive (no
-fractions); points are integer numerators over a common denominator until
-returned as `Fraction`s.  Intended scale is at most ~12 variables.
+rows, ordered lexicographically, over equality rows and a feasible basis by the
+primal simplex method with Bland's rule and names the variables that vanish on
+every optimum; `enumerate_vertices` then lists the vertices of that optimal
+face (or of any small polytope): the equalities are reduced once and their
+pivot variables substituted away, and every vertex turns `need` reduced
+inequalities tight, one per free variable.  `_eliminate` is the one elimination
+step of both, and keeps rows integral and primitive (no fractions); points are
+integer numerators over a common denominator until returned as `Fraction`s.
+Intended scale is at most ~12 variables.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ def _primitive(row: IntRow) -> IntRow:
 
 
 def _eliminate(mat: list[IntRow], k: int, col: int) -> None:
-    """Clear column `col` from every row but row k, whose entry there is positive;
-    each changed row is a positive multiple of the exact result, made primitive.
-    A row shorter than row k (a cost row with no right-hand side) stays short."""
-    prow = mat[k]
+    """Make row k's entry in column `col` positive, negating the row if needed,
+    and clear the column from every other row; each changed row is a positive
+    multiple of the exact result, made primitive.  A row shorter than row k (a
+    cost row with no right-hand side) stays short."""
+    prow = mat[k] = mat[k] if mat[k][col] > 0 else [-v for v in mat[k]]
     pivot = prow[col]
     for i, row in enumerate(mat):
         f = row[col]
@@ -56,8 +58,7 @@ def _reduce(rows: Iterable[IntRow], dim: int) -> Optional[list[tuple[int, IntRow
                 break
         else:
             continue
-        prow = mat[k] if mat[k][col] > 0 else [-v for v in mat[k]]
-        mat[k], mat[top] = mat[top], prow
+        mat[k], mat[top] = mat[top], mat[k]
         _eliminate(mat, top, col)
         cols.append(col)
     if any(row[dim] for row in mat[len(cols):]):  # these rows have zero coefficients
@@ -85,17 +86,18 @@ def simplex(tableau: list[IntRow], basis: list[int], costs: Sequence[Sequence[in
     lexicographically (one row is an ordinary objective).  The columns returned
     are exactly the variables that vanish on every optimum (complementary
     slackness): the optimal face is the feasible set with them fixed at zero.
-    The tableau must be feasible and in canonical form for `basis`: row r has a
-    positive entry in column basis[r], zeros in the other basic columns and a
-    nonnegative right-hand side.  The cost rows, with no right-hand side, go
-    below it, and `_eliminate` prices them out and pivots them with the rest.
-    It scales each row by a positive factor only, so every entry keeps the sign
-    of its reduced cost, and every column's tuple its order.  Pivots follow
-    Bland's rule (Bland 1977), so the method terminates.
+    The tableau rows are equalities as written, right-hand side last, and the
+    basic solution of `basis` is feasible; row k's entry in column basis[k] must
+    be nonzero once the columns basis[:k] are cleared.  The cost rows, with no
+    right-hand side, go below it.  `_eliminate` brings it all into canonical
+    form (each basic entry positive and alone in its column), prices and pivots.
+    Its positive row factors keep every entry's sign and every column's tuple
+    order, so the pivots do not depend on how the rows were written.  Pivots
+    follow Bland's rule (Bland 1977), so the method terminates.
     """
     m = len(tableau)
     mat = [*tableau, *costs]
-    for k, b in enumerate(basis):  # price out the basic columns
+    for k, b in enumerate(basis):  # canonical form, costs priced out
         _eliminate(mat, k, b)
     while True:
         lead = mat[m]
@@ -142,17 +144,12 @@ def enumerate_vertices(
             f"vertex enumeration too large: {count} tight subsets "
             f"(C({len(inequalities)}, {need})) > {limit}"
         )
-    scale = lcm(*(row[col] for col, row in reduced))
-    # Substitute each pivot variable: scale * (a . x - b) >= 0 in the free variables.
-    eqs = [(col, scale // row[col], [row[c] for c in free] + [row[dim]]) for col, row in reduced]
-    ineqs = []
-    for row in (_primitive([*a, b]) for a, b in inequalities):
-        out = [scale * row[c] for c in free] + [scale * row[dim]]
-        for col, mult, eq in eqs:
-            f = row[col] * mult
-            if f:
-                out = [a - f * b for a, b in zip(out, eq)]
-        ineqs.append(_primitive(out))
+    # Substitute the pivot variables away: each inequality row gains multiples of
+    # the equalities and positive factors only, so it keeps its solutions.
+    mat = [row for _, row in reduced] + [_primitive([*a, b]) for a, b in inequalities]
+    for k, (col, _) in enumerate(reduced):
+        _eliminate(mat, k, col)
+    ineqs = [[row[c] for c in free] + [row[dim]] for row in mat[len(reduced) :]]
 
     seen: set[Point] = set()
     found: list[Point] = []
@@ -167,8 +164,9 @@ def enumerate_vertices(
 
     vertices = []
     for num, den in found:
-        full = dict(zip(free, (scale * v for v in num)))  # over scale * den
-        for col, mult, eq in eqs:
-            full[col] = mult * (eq[need] * den - sum(a * v for a, v in zip(eq, num)))
-        vertices.append(tuple(Fraction(full[c], scale * den) for c in range(dim)))
+        full = dict(zip(free, (Fraction(v, den) for v in num)))
+        for col, row in reduced:  # row: row[col] * x_col + row[free] . x_free = row[dim]
+            rest = sum(row[c] * v for c, v in zip(free, num))
+            full[col] = Fraction(row[dim] * den - rest, row[col] * den)
+        vertices.append(tuple(full[c] for c in range(dim)))
     return sorted(vertices)

@@ -9,7 +9,8 @@ the convex piecewise-linear stability value over the closed weight simplex by
 one exact epigraph LP, then enumerates the vertices of its optimal face only.
 The LP sees integers only: `_lp_costs` writes the values' coefficients,
 leading degree first, as integer cost rows, and their lexicographic order is
-the asymptotic order of the values.
+the asymptotic order of the values.  `_epigraph_vertices` alone writes the
+epigraph's constraint rows, for the face, `--trace` and the splitting test.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .model import (
 )
 from .pivots import PivotSet, Tuple_, matrix_from_pivots, project_pivots
 from .poly import UniPoly
-from .polytope import IntRow, Row, enumerate_vertices, simplex
+from .polytope import IntRow, enumerate_vertices, simplex
 
 Value = Union[Fraction, UniPoly]
 Weights = tuple[Fraction, ...]
@@ -182,38 +183,32 @@ class CheckVerdict:
     boundary_support: Optional[tuple[int, ...]] = None
 
 
-def _epigraph(gs: Sequence[Tuple_], s: int) -> tuple[list[Row], list[Row]]:
-    """Integer rows over (w, z): the simplex equality sum w = 1, and the bound
-    x_j >= 0 of every column j of the epigraph LP: w_i >= 0, z >= 0, and
-    z - g_p . w >= 0 for each pivot p (the slack of p)."""
-    unit = [(0,) * i + (1,) + (0,) * (s - i) for i in range(s + 1)]
-    return [((1,) * s + (0,), 1)], [(u, 0) for u in unit] + [
-        (tuple(-x for x in g) + (1,), 0) for g in gs
-    ]
+def _epigraph_vertices(
+    gs: Sequence[Tuple_], s: int, fixed: Sequence[int]
+) -> list[tuple[Fraction, ...]]:
+    """Sorted vertices (w, z) of the epigraph {sum w = 1, w >= 0, z >= g_p . w}
+    with the LP columns in `fixed` at zero (column j < s is w_j, s is z, s + 1 + k
+    the slack z - g_k . w); their bounds and z >= 0, implied by z >= g_p . w >= 0, are dropped."""
+    bounds = [((0,) * j + (1,) + (0,) * (s - j), 0) for j in range(s + 1)]
+    bounds += [(tuple(-x for x in g) + (1,), 0) for g in gs]
+    eqs = [((1,) * s + (0,), 1)] + [bounds[j] for j in fixed]
+    ineqs = [row for j, row in enumerate(bounds) if j != s and j not in fixed]
+    return enumerate_vertices(eqs, ineqs, s + 1)
 
 
 def _start(costs: list[list[int]], gs: Sequence[Tuple_], s: int) -> tuple[list[IntRow], list[int]]:
-    """Canonical tableau of the epigraph LP at its cheapest simplex vertex
-    w = e_i, z = max_p g_p[i], priced by the lexicographic cost rows.  Columns
-    are w, z and the pivots' slacks; the basis is w_i, z and the slack of every
-    pivot but the first attaining that maximum.  Every basic entry is 1, so the
-    rows are plain integers."""
+    """The epigraph LP's rows as written, over the columns w, z and the pivots'
+    slacks: sum w = 1, then z - g_p . w - slack_p = 0 for each pivot p, the
+    first pivot attaining max_p g_p[i] first; and a feasible basis, w_i, z and
+    every other slack, at the simplex vertex e_i that the cost rows rank cheapest."""
     tops = [max(g[i] for g in gs) for i in range(s)]
     i = min(range(s), key=lambda j: [row[j] + row[s] * tops[j] for row in costs])
     k0 = next(k for k, g in enumerate(gs) if g[i] == tops[i])
-    g0, ks = gs[k0], range(len(gs))
-    z_w = [g0[i] - g0[j] for j in range(s)]
-    tableau = [
-        [1] * s + [0] * (1 + len(gs)) + [1],
-        z_w + [1] + [-(m == k0) for m in ks] + [g0[i]],
+    order = [k0] + [k for k in range(len(gs)) if k != k0]
+    tableau = [[1] * s + [0] * (1 + len(gs)) + [1]] + [
+        [-x for x in gs[k]] + [1] + [-(m == k) for m in range(len(gs))] + [0] for k in order
     ]
-    basis = [i, s]
-    for k, g in enumerate(gs):
-        if k != k0:
-            w_part = [z + g[j] - g[i] for j, z in enumerate(z_w)]
-            tableau.append(w_part + [0] + [(m == k) - (m == k0) for m in ks] + [g0[i] - g[i]])
-            basis.append(s + 1 + k)
-    return tableau, basis
+    return tableau, [i, s] + [s + 1 + k for k in order[1:]]
 
 
 def _lp_costs(cs: Sequence[Value], rdelta: Value, npiv: int) -> list[list[int]]:
@@ -250,9 +245,7 @@ def region_minima(
     _check_instance(fs, ps)
     s, r = fs.s, fs.total.rank
     gs = _pivot_coeffs(ps, s)
-    eqs, bounds = _epigraph(list(gs.values()), s)
-    del bounds[s]  # z >= 0 follows from z >= g_p . w >= 0
-    vertices = enumerate_vertices(eqs, bounds, s + 1)
+    vertices = _epigraph_vertices(list(gs.values()), s, ())
     value = {v: _value(sp, cs, r, v[:s], v[s]) for v in vertices}
     return [(p, [(v[:s], value[v]) for v in vs]) for p, vs in _by_pivot(gs, vertices)]
 
@@ -288,12 +281,11 @@ def decide_destabilizing(
     _check_instance(fs, ps)
     s = fs.s
     if s < 1:
-        raise InstanceError("filtration has no steps")
+        raise InstanceError("steps: expected at least one step, got []")
     gs = _pivot_coeffs(ps, s)
-    eqs, bounds = _epigraph(list(gs.values()), s)
     costs = _lp_costs(cs, fs.total.rank * sp.delta, len(gs))
     zero = simplex(*_start(costs, list(gs.values()), s), costs)
-    face = enumerate_vertices(eqs + [bounds[j] for j in zero], bounds[:s] + bounds[s + 1 :], s + 1)
+    face = _epigraph_vertices(list(gs.values()), s, zero)
     regions = [(p, vs) for p, vs in _by_pivot(gs, face) if vs]
 
     witness = face[0][:s]
@@ -324,30 +316,27 @@ def reduce_destabilizer(
 
     Indices are tried in ascending order; the first successful removal recurses.
     Returns the surviving original step levels, a witness weight vector for the
-    reduced instance, and the trace of all attempted removals.
+    reduced instance, and the trace of all attempted removals.  Each attempt
+    decides the subfiltration of the original instance on the levels it keeps:
+    projections compose, since the lifts nest and the maxima of a monotone
+    image are images of maxima.
     """
     verdict = decide_destabilizing(fs, ps, sp, strictness)
     if not verdict.violated:
         raise InstanceError("instance does not violate; nothing to reduce")
     trace: list[tuple[tuple[int, ...], bool]] = []
     labels = tuple(range(1, fs.s + 1))
-
     while True:
-        reduced = False
-        for pos in range(len(labels)):
-            keep = [i + 1 for i in range(len(labels)) if i != pos]
+        for drop in labels:
+            keep = tuple(lvl for lvl in labels if lvl != drop)
             if not keep:
                 continue
-            sub_fs = fs.substeps(keep)
-            sub_ps = project_pivots(ps, keep)
-            sub_labels = tuple(labels[i] for i in range(len(labels)) if i != pos)
-            sub_verdict = decide_destabilizing(sub_fs, sub_ps, sp, strictness)
-            trace.append((sub_labels, sub_verdict.violated))
-            if sub_verdict.violated:
-                fs, ps, labels, verdict = sub_fs, sub_ps, sub_labels, sub_verdict
-                reduced = True
+            sub = decide_destabilizing(fs.substeps(keep), project_pivots(ps, keep), sp, strictness)
+            trace.append((keep, sub.violated))
+            if sub.violated:
+                labels, verdict = keep, sub
                 break
-        if not reduced:
+        else:
             return labels, verdict.witness, trace
 
 
@@ -363,10 +352,10 @@ def check_splitting(
     _check_instance(fs, ps)
     s = fs.s
     if s < 1:
-        raise InstanceError("filtration has no steps")
-    eqs, bounds = _epigraph(list(_pivot_coeffs(ps, s).values()), s)
-    # All pivot sums equal: z = g_p . w for every pivot p, with w on the simplex.
-    vertices = enumerate_vertices(eqs + bounds[s + 1 :], bounds[:s], s + 1)
+        raise InstanceError("steps: expected at least one step, got []")
+    gs = list(_pivot_coeffs(ps, s).values())
+    # All pivot sums equal: every slack z - g_p . w is zero, with w on the simplex.
+    vertices = _epigraph_vertices(gs, s, range(s + 1, s + 1 + len(gs)))
     if vertices:
         return True, vertices[0][:s]
     return False, None

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from destab.cli import main
 from destab.instances import parse_instance, instance_json
@@ -111,12 +115,17 @@ def test_reduce_rejects_non_violating_instance(tmp_path, capsys):
 
 
 def _hilbert(instance, total, step, delta):
-    """The same instance in hilbert mode, with the given polynomials."""
+    """The same instance in hilbert mode, with the given polynomials; None
+    leaves a sheaf without one."""
+
+    def sheaf(sd, poly):
+        return sd if poly is None else dict(sd, hilbert=poly)
+
     return dict(
         instance,
         mode="hilbert",
-        total=dict(instance["total"], hilbert=total),
-        steps=[dict(instance["steps"][0], hilbert=step)],
+        total=sheaf(instance["total"], total),
+        steps=[sheaf(instance["steps"][0], step)],
         delta=delta,
     )
 
@@ -178,6 +187,30 @@ STRUCTURAL_ERRORS = [
         "pivots[1]: tuple (1, 2, 2, 2) does not have arity 2",
     ),
     (dict(PASSING_INSTANCE, pivots=[[2, 1]]), "pivots[0]: tuple (2, 1) is not nondecreasing"),
+    (dict(RANK6_INSTANCE, arity=0, pivots=[[]]), "arity: expected a positive integer, got 0"),
+    (dict(RANK6_INSTANCE, multiplicity=0), "multiplicity: expected a positive integer, got 0"),
+    (
+        dict(RANK6_INSTANCE, total={"rank": 0, "degree": 0}),
+        "total.rank: expected a positive integer, got 0",
+    ),
+    (_with_step_rank(0), "steps[0].rank: expected a rank above 0, got 0"),
+    (_with_step_rank(3), "steps[1].rank: expected a rank above 3, got 3"),
+    (
+        dict(RANK6_INSTANCE, steps=RANK6_INSTANCE["steps"][:2] + [{"rank": 6, "degree": 0}]),
+        "steps[2].rank: expected a rank below the total rank 6, got 6",
+    ),
+    (
+        _hilbert(PASSING_INSTANCE, ["0", "2"], None, ["1"]),
+        "steps[0].hilbert: expected a coefficient list in hilbert mode",
+    ),
+    (
+        _hilbert(PASSING_INSTANCE, None, ["-5", "1"], ["1"]),
+        "total.hilbert: expected a coefficient list in hilbert mode",
+    ),
+    (
+        dict(RANK6_INSTANCE, steps=[], pivots=[[1, 1, 1, 1]]),
+        "steps: expected at least one step, got []",
+    ),
 ]
 
 
@@ -255,6 +288,35 @@ def test_rational_and_polynomial_fields_are_rejected_by_path(
     code, out, err = run(capsys, [command, write_json(tmp_path, instance)])
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}: {message}")
+
+
+def _tensor(degrees, support, **extra):
+    return {"degrees": degrees, "support": support, **extra}
+
+
+P1_ERRORS = [
+    (_tensor([0, 0, 1], [[1]]), "degrees: expected three integers summing to 0, got [0, 0, 1]"),
+    (_tensor([0, 0], [[1]]), "degrees: expected three integers summing to 0, got [0, 0]"),
+    (_tensor([1, 0, -1], [[1, 1, 1]]), "degrees: expected a nondecreasing order, got [1, 0, -1]"),
+    (
+        _tensor([0, 0, 0], [[1, 1, 1]], delta="-1/2"),
+        "delta: expected a positive rational, got -1/2",
+    ),
+    (_tensor([0, 0, 0], []), "support: expected a nonempty list, got []"),
+    (
+        _tensor([0, 0, 0], [[4, 1, 4]]),
+        "support: expected multisets of 3 indices in 1..3, got [1, 4, 4]",
+    ),
+    (_tensor([0, 0, 0], [[1, 2]]), "support: expected multisets of 3 indices in 1..3, got [1, 2]"),
+    (_tensor([-2, 1, 1], [[3, 2, 3]]), "support: expected degree sums <= 0, got [2, 3, 3]"),
+]
+
+
+@pytest.mark.parametrize("tensor, message", P1_ERRORS)
+def test_p1_tensor_errors_name_their_json_path(tmp_path, capsys, tensor, message):
+    code, out, err = run(capsys, ["p1", "check", write_json(tmp_path, tensor)])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_p1_delta_errors_name_their_source(tmp_path, capsys):
@@ -387,3 +449,71 @@ def test_instance_round_trip_polynomial_mode():
     }
     parsed = parse_instance(instance)
     assert parse_instance(instance_json(*parsed)) == parsed
+
+
+# CLI fuzzing: small random JSON documents, and known-good instances and
+# tensors with one value replaced, through every command that reads a file.
+_KEYS = [
+    "mode", "arity", "multiplicity", "total", "steps", "rank", "degree", "hilbert",
+    "delta", "pivots", "weights", "degrees", "support",
+]
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 6)
+    | st.floats(-3, 3)
+    | st.sampled_from(["1", "-1/2", "0", "x", "2/0", "slope", "hilbert"])
+)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+_POOL = [
+    RANK6_INSTANCE,
+    PASSING_INSTANCE,
+    _weighted(1, "hilbert"),
+    {"degrees": [-1, 0, 1], "support": [[1, 1, 1], [1, 2, 3]], "delta": "1/2"},
+]
+
+
+def _mutate(doc, rng, value):
+    """A copy of `doc` with the value at one random path replaced."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = rng.choice(keys)
+        if isinstance(node[key], (dict, list)) and node[key] and rng.random() < 0.9:
+            node = node[key]
+            continue
+        node[key] = value
+        return doc
+
+
+_FUZZ_COMMANDS = [
+    ["check"], ["check", "--strict"], ["check", "--trace"], ["reduce"], ["p1", "check"],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _JSON
+    | st.builds(
+        _mutate,
+        st.sampled_from(_POOL),
+        st.randoms(use_true_random=False),
+        st.integers(-2, 6) | st.sampled_from(["1", "3/2"]) | _JSON,
+    )
+)
+def test_fuzzed_input_exits_0_1_or_2_and_never_raises(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in _FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, str(path)])
+        assert code in (0, 1, 2), (command, doc)
+        assert (code == 2) == err.getvalue().startswith("error: "), (command, doc)

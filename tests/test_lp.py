@@ -101,6 +101,22 @@ def test_simplex_compares_cost_rows_lexicographically():
     assert solve([[0, -5, -1]]) == ([0, 2], [1])
 
 
+def test_simplex_starts_from_rows_as_written():
+    # Minimize x0 + 2 x1 over x0 + x1 + x2 = 1, x0 - x2 - x3 = 0, x >= 0 from the
+    # basis x0, x3 at x = (1, 0, 0, 1); the optimum is x = (1/2, 0, 1/2, 0).  As
+    # written, row 1's basic entry is -1, and rescaling a row by a nonzero
+    # factor or writing the canonical form by hand changes no pivot.
+    canonical = [[1, 1, 1, 0, 1], [0, 1, 2, 1, 1]]
+    for tableau in (
+        [[1, 1, 1, 0, 1], [1, 0, -1, -1, 0]],
+        [[-2, -2, -2, 0, -2], [-1, 0, 1, 1, 0]],
+        canonical,
+    ):
+        basis = [0, 3]
+        assert simplex(tableau, basis, [[1, 2, 0, 0]]) == [1, 3]
+        assert basis == [0, 2]
+
+
 def test_marginal_witness_is_the_centroid_of_the_last_positive_region():
     # The value vanishes on the segment [(1/2, 1/2), (1, 0)], all of it in the
     # first pivot's region (centroid (3/4, 1/4)); the second region meets it

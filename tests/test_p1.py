@@ -7,6 +7,8 @@ import pytest
 from destab.model import InstanceError
 from destab.p1 import (
     P1Tensor,
+    _admissible_multisets,
+    _degree_triples,
     classify,
     enumerate_two_pivot_matrices,
     flag_pivots,
@@ -166,3 +168,38 @@ def test_classify_respects_degree_admissibility():
         d = row.degrees
         for m in row.support:
             assert sum(d[i - 1] for i in m) <= 0
+
+
+def test_stable_verdict_reads_off_the_minima_alone():
+    # No flag is violated, yet four flags have a zero minimum attained only at
+    # one end of their weight segment, where the strict step condition fails.
+    verdict = is_semistable_p1(tensor((0, 0, 0), [(1, 1, 2), (2, 3, 3)], Fraction(1, 2)), "stable")
+    assert not verdict.semistable
+    assert not any(v.violated for _, _, v in verdict.flags)
+    zeros = {(i, j): v for i, j, v in verdict.flags if v.min_value == 0}
+    assert set(zeros) == {(1, 3), (2, 1), (2, 3), (3, 1)}
+    assert all(v.classification == "boundary-witness" for v in zeros.values())
+    conds = {(i, j): c for i, j, c in verdict.step_conditions}
+    assert all(not all(conds[flag]) for flag in zeros)
+
+
+def _bounded_universe(bound):
+    return [
+        (degrees, support)
+        for degrees in _degree_triples(bound)
+        for n in range(1, len(_admissible_multisets(degrees)) + 1)
+        for support in combinations(_admissible_multisets(degrees), n)
+    ]
+
+
+@pytest.mark.parametrize("strictness", ["semi", "stable"])
+def test_minima_verdict_matches_the_step_condition_route(strictness):
+    # The step-condition route: no flag violated and every step condition holds.
+    for degrees, support in _bounded_universe(2)[::17]:
+        for delta in (Fraction(1, 2), Fraction(1), Fraction(2)):
+            verdict = is_semistable_p1(tensor(degrees, support, delta), strictness)
+            expected = all(not v.violated for _, _, v in verdict.flags) and all(
+                all(conds) for _, _, conds in verdict.step_conditions
+            )
+            assert verdict.semistable == expected
+

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from destab.pivots import (
     PivotSet,
@@ -120,6 +122,19 @@ def test_project_single_level_counts():
     proj = project_pivots(ps, [2])
     assert proj.t == 2
     assert proj.pivots == ((1, 1, 2),)  # (1,2,4)->(1,1,2), (2,3,3)->(1,2,2) below it
+
+
+@given(st.randoms(use_true_random=False))
+def test_project_pivots_composes(rng):
+    # Projecting onto `outer`, then onto `inner` of the result, projects onto
+    # the original levels that `inner` names: the lifts nest, and the maxima of
+    # a monotone image are the images of maxima.
+    t = rng.randint(2, 7)
+    ps = random_pivots(rng, rng.randint(1, 4), t, max_pivots=5)
+    outer = sorted(rng.sample(range(1, t), rng.randint(0, t - 1)))
+    inner = sorted(rng.sample(range(1, len(outer) + 1), rng.randint(0, len(outer))))
+    direct = project_pivots(ps, [outer[k - 1] for k in inner])
+    assert project_pivots(project_pivots(ps, outer), inner) == direct
 
 
 def test_project_rejects_bad_levels():

@@ -221,6 +221,20 @@ def test_value_at_a_simplex_vertex_is_the_step_condition(rng, kind):
         assert (semi[i], stable[i]) == (not value < 0, value > 0)
 
 
+@settings(deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_minimum_is_midpoint_concave_in_delta(rng):
+    # In slope mode the value is A(w) + delta B(w) for each w, so its minimum
+    # m(delta) over the simplex is a minimum of affine functions: concave.
+    fs, ps, _ = level_set_instance(rng, "slope")
+    d1, d2 = (F(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(2))
+
+    def m(delta):
+        return decide_destabilizing(fs, ps, StabilityParam.slope(delta)).min_value
+
+    assert m((d1 + d2) / 2) >= (m(d1) + m(d2)) / 2
+
+
 def test_decide_rank6_minimum():
     fs, ps, sp = rank6()
     verdict = decide_destabilizing(fs, ps, sp)
