@@ -167,6 +167,20 @@ def _admissible_multisets(degrees: tuple[int, int, int]) -> list[Multiset]:
     ]
 
 
+def tensor_count(degree_bound: int) -> int:
+    """How many tensors `classify` decides, in closed form: the sum over degree
+    triples of 2^n - 1, n the number of admissible multisets.
+
+    All 10 multisets are admissible at degrees (0, 0, 0).  At (-k, d, k - d)
+    with k >= 1 and -k <= d <= k/2, the degree sums admit 111, 112, 113, 122
+    and 123 always, 222 when d <= 0, 223 when d = -k and 133 when d = k/2.  So
+    the triples with smallest degree -k hold 127 + 63k + 31 floor((k-1)/2) +
+    63 [k even] tensors.
+    """
+    b = degree_bound
+    return 1023 + 127 * b + 63 * b * (b + 1) // 2 + 31 * ((b - 1) ** 2 // 4) + 63 * (b // 2)
+
+
 def classify(delta=1, degree_bound: int = 0) -> list[ClassifiedTensor]:
     """Decide every valid tensor with |smallest degree| up to the bound."""
     if degree_bound < 0:

@@ -5,13 +5,14 @@ Polytopes are given by equality rows (coeffs . x == rhs) and inequality rows
 (coeffs . x >= rhs) with integer entries.  `simplex` minimizes integer cost
 rows, ordered lexicographically, over equality rows and a feasible basis by the
 primal simplex method with Bland's rule and names the variables that vanish on
-every optimum; `enumerate_vertices` then lists the vertices of that optimal
-face (or of any small polytope): the equalities are reduced once and their
-pivot variables substituted away, and every vertex turns `need` reduced
-inequalities tight, one per free variable.  `_eliminate` is the one elimination
-step of both, and keeps rows integral and primitive (no fractions); points are
-integer numerators over a common denominator until returned as `Fraction`s.
-Intended scale is at most ~12 variables.
+every optimum; `optimal_face` reads the vertices of that optimal face off its
+final rows.  `enumerate_vertices` lists those of any small polytope, reducing
+the equalities once and substituting their pivot variables away.  In both,
+every vertex turns `need` inequalities tight, one per free variable.
+`_eliminate` is the one elimination step, and keeps rows integral and
+primitive (no fractions); points are integer numerators over a common
+denominator until returned as `Fraction`s.  Intended scale is at most ~12
+variables.
 """
 
 from __future__ import annotations
@@ -79,13 +80,15 @@ def solve_unique(rows: Sequence[IntRow], dim: int) -> Optional[Point]:
 
 def simplex(tableau: list[IntRow], basis: list[int], costs: Sequence[Sequence[int]]) -> list[int]:
     """Minimize the costs over {x >= 0 : tableau rows hold}; return the columns
-    whose reduced cost is lexicographically positive at the optimum.
+    whose reduced cost is lexicographically positive at the optimum, and leave
+    the final canonical rows in `tableau` and the final basis in `basis`.
 
     `costs` are integer rows over the columns, most significant first: the cost
     of column j is the tuple of the rows' entries at j, compared
     lexicographically (one row is an ordinary objective).  The columns returned
     are exactly the variables that vanish on every optimum (complementary
-    slackness): the optimal face is the feasible set with them fixed at zero.
+    slackness): the optimal face is the feasible set with them fixed at zero,
+    and `optimal_face` lists its vertices from the rows left behind.
     The tableau rows are equalities as written, right-hand side last, and the
     basic solution of `basis` is feasible; row k's entry in column basis[k] must
     be nonzero once the columns basis[:k] are cleared.  The cost rows, with no
@@ -105,6 +108,7 @@ def simplex(tableau: list[IntRow], basis: list[int], costs: Sequence[Sequence[in
             lead = [a or b for a, b in zip(lead, row)]
         enter = next((j for j, c in enumerate(lead) if c < 0), None)
         if enter is None:
+            tableau[:] = mat[:m]
             return [j for j, c in enumerate(lead) if c > 0]
         leave = None
         for k in range(m):  # minimum ratio, ties to the least basic index
@@ -124,33 +128,20 @@ def simplex(tableau: list[IntRow], basis: list[int], costs: Sequence[Sequence[in
         basis[leave] = enter
 
 
-def enumerate_vertices(
-    equalities: Sequence[Row], inequalities: Sequence[Row], dim: int
+def _vertices(
+    basic: Sequence[tuple[int, IntRow]], free: list[int], ineqs: list[IntRow], dim: int
 ) -> list[tuple[Fraction, ...]]:
-    """All vertices of {x : eq rows hold, ineq rows >= rhs}, sorted.
-
-    Refuses with `InstanceError` when the tight subsets to try, C(#inequalities,
-    need), exceed `guard_limit(1_000_000)`.
-    """
-    reduced = _reduce((_primitive([*a, b]) for a, b in equalities), dim)
-    if reduced is None:
-        return []
-    pivots = {col for col, _ in reduced}
-    free = [c for c in range(dim) if c not in pivots]
+    """Sorted vertices of {x : x_free meets `ineqs`, each basic row reads
+    row[col] * x_col + row[free] . x_free = row[dim], other columns are 0}.
+    Refuses with `InstanceError` when the tight subsets to try, C(len(ineqs),
+    len(free)), exceed `guard_limit(1_000_000)`."""
     need = len(free)
-    count, limit = comb(len(inequalities), need), guard_limit(1_000_000)
+    count, limit = comb(len(ineqs), need), guard_limit(1_000_000)
     if count > limit:
         raise InstanceError(
             f"vertex enumeration too large: {count} tight subsets "
-            f"(C({len(inequalities)}, {need})) > {limit}"
+            f"(C({len(ineqs)}, {need})) > {limit}"
         )
-    # Substitute the pivot variables away: each inequality row gains multiples of
-    # the equalities and positive factors only, so it keeps its solutions.
-    mat = [row for _, row in reduced] + [_primitive([*a, b]) for a, b in inequalities]
-    for k, (col, _) in enumerate(reduced):
-        _eliminate(mat, k, col)
-    ineqs = [[row[c] for c in free] + [row[dim]] for row in mat[len(reduced) :]]
-
     seen: set[Point] = set()
     found: list[Point] = []
     for tight in combinations(ineqs, need):
@@ -164,9 +155,46 @@ def enumerate_vertices(
 
     vertices = []
     for num, den in found:
-        full = dict(zip(free, (Fraction(v, den) for v in num)))
-        for col, row in reduced:  # row: row[col] * x_col + row[free] . x_free = row[dim]
+        full = [Fraction(0)] * dim
+        for col, v in zip(free, num):
+            full[col] = Fraction(v, den)
+        for col, row in basic:
             rest = sum(row[c] * v for c, v in zip(free, num))
             full[col] = Fraction(row[dim] * den - rest, row[col] * den)
-        vertices.append(tuple(full[c] for c in range(dim)))
+        vertices.append(tuple(full))
     return sorted(vertices)
+
+
+def enumerate_vertices(
+    equalities: Sequence[Row], inequalities: Sequence[Row], dim: int
+) -> list[tuple[Fraction, ...]]:
+    """All vertices of {x : eq rows hold, ineq rows >= rhs}, sorted; guarded
+    by `_vertices`."""
+    reduced = _reduce((_primitive([*a, b]) for a, b in equalities), dim)
+    if reduced is None:
+        return []
+    pivots = {col for col, _ in reduced}
+    free = [c for c in range(dim) if c not in pivots]
+    # Substitute the pivot variables away: each inequality row gains multiples of
+    # the equalities and positive factors only, so it keeps its solutions.
+    mat = [row for _, row in reduced] + [_primitive([*a, b]) for a, b in inequalities]
+    for k, (col, _) in enumerate(reduced):
+        _eliminate(mat, k, col)
+    ineqs = [[row[c] for c in free] + [row[dim]] for row in mat[len(reduced) :]]
+    return _vertices(reduced, free, ineqs, dim)
+
+
+def optimal_face(
+    tableau: Sequence[IntRow], basis: Sequence[int], zero: Iterable[int]
+) -> list[tuple[Fraction, ...]]:
+    """Sorted vertices of the optimal face {x >= 0 : rows hold, x_zero = 0}
+    from the final `tableau` and `basis` of `simplex` and the `zero` columns it
+    returned.  Over the free columns F (nonbasic, not in `zero`) a row reads
+    row[b] * x_b + row[F] . x_F = rhs with row[b] > 0, so the face is x_F >= 0
+    and -row[F] . x_F >= -rhs: no elimination.  A point face has need = 0."""
+    dim = len(tableau[0]) - 1
+    fixed = {*basis, *zero}
+    free = [c for c in range(dim) if c not in fixed]
+    ineqs = [[int(c == f) for c in free] + [0] for f in free]
+    ineqs += [_primitive([-row[c] for c in free] + [-row[dim]]) for row in tableau]
+    return _vertices(list(zip(basis, tableau)), free, ineqs, dim)

@@ -6,11 +6,13 @@ both support `+`, scaling by a rational and `<`, so one code path serves both
 modes (slope mode is Hilbert mode with constant values).  Only
 `model.sheaf_values` knows the mode.  The destabilization decision minimizes
 the convex piecewise-linear stability value over the closed weight simplex by
-one exact epigraph LP, then enumerates the vertices of its optimal face only.
-The LP sees integers only: `_lp_costs` writes the values' coefficients,
-leading degree first, as integer cost rows, and their lexicographic order is
-the asymptotic order of the values.  `_epigraph_vertices` alone writes the
-epigraph's constraint rows, for the face, `--trace` and the splitting test.
+one exact epigraph LP, then reads the vertices of its optimal face off the
+simplex's final tableau.  The LP sees integers only: `_lp_costs` writes the
+values' coefficients, leading degree first, as integer cost rows, and their
+lexicographic order is the asymptotic order of the values.  `_epigraph` alone
+writes the epigraph's rows, over the columns w, z and one slack per pivot, for
+the LP, `--trace` and the splitting test; a pivot's region is where its slack
+vanishes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
 from typing import Optional, Sequence, Union
 
 from .model import (
@@ -31,7 +32,7 @@ from .model import (
 )
 from .pivots import PivotSet, Tuple_, matrix_from_pivots, project_pivots
 from .poly import UniPoly
-from .polytope import IntRow, enumerate_vertices, simplex
+from .polytope import IntRow, enumerate_vertices, optimal_face, simplex
 
 Value = Union[Fraction, UniPoly]
 Weights = tuple[Fraction, ...]
@@ -183,32 +184,39 @@ class CheckVerdict:
     boundary_support: Optional[tuple[int, ...]] = None
 
 
+def _epigraph(gs: Sequence[Tuple_], s: int) -> list[IntRow]:
+    """The epigraph LP's equality rows over the columns w (0..s-1), z (s) and
+    one slack per pivot (s + 1 + k), right-hand side last: sum w = 1, then
+    z - g_k . w - slack_k = 0 for each pivot k in order."""
+    npiv = len(gs)
+    return [[1] * s + [0] * (1 + npiv) + [1]] + [
+        [-x for x in g] + [1] + [-(m == k) for m in range(npiv)] + [0] for k, g in enumerate(gs)
+    ]
+
+
 def _epigraph_vertices(
     gs: Sequence[Tuple_], s: int, fixed: Sequence[int]
 ) -> list[tuple[Fraction, ...]]:
-    """Sorted vertices (w, z) of the epigraph {sum w = 1, w >= 0, z >= g_p . w}
-    with the LP columns in `fixed` at zero (column j < s is w_j, s is z, s + 1 + k
-    the slack z - g_k . w); their bounds and z >= 0, implied by z >= g_p . w >= 0, are dropped."""
-    bounds = [((0,) * j + (1,) + (0,) * (s - j), 0) for j in range(s + 1)]
-    bounds += [(tuple(-x for x in g) + (1,), 0) for g in gs]
-    eqs = [((1,) * s + (0,), 1)] + [bounds[j] for j in fixed]
-    ineqs = [row for j, row in enumerate(bounds) if j != s and j not in fixed]
-    return enumerate_vertices(eqs, ineqs, s + 1)
+    """Sorted vertices (w, z, slacks) of the epigraph {`_epigraph` rows hold,
+    w >= 0, slacks >= 0} with the columns in `fixed` at zero; the bounds of
+    those and z >= 0, implied by z >= g_p . w >= 0, are dropped."""
+    dim = s + 1 + len(gs)
+    unit = [tuple(int(c == j) for c in range(dim)) for j in range(dim)]
+    eqs = [(row[:dim], row[dim]) for row in _epigraph(gs, s)] + [(unit[j], 0) for j in fixed]
+    ineqs = [(unit[j], 0) for j in range(dim) if j != s and j not in fixed]
+    return enumerate_vertices(eqs, ineqs, dim)
 
 
 def _start(costs: list[list[int]], gs: Sequence[Tuple_], s: int) -> tuple[list[IntRow], list[int]]:
-    """The epigraph LP's rows as written, over the columns w, z and the pivots'
-    slacks: sum w = 1, then z - g_p . w - slack_p = 0 for each pivot p, the
-    first pivot attaining max_p g_p[i] first; and a feasible basis, w_i, z and
-    every other slack, at the simplex vertex e_i that the cost rows rank cheapest."""
+    """The `_epigraph` rows, the first pivot attaining max_p g_p[i] first, and
+    a feasible basis, w_i, z and every other slack, at the simplex vertex e_i
+    that the cost rows rank cheapest."""
     tops = [max(g[i] for g in gs) for i in range(s)]
     i = min(range(s), key=lambda j: [row[j] + row[s] * tops[j] for row in costs])
     k0 = next(k for k, g in enumerate(gs) if g[i] == tops[i])
     order = [k0] + [k for k in range(len(gs)) if k != k0]
-    tableau = [[1] * s + [0] * (1 + len(gs)) + [1]] + [
-        [-x for x in gs[k]] + [1] + [-(m == k) for m in range(len(gs))] + [0] for k in order
-    ]
-    return tableau, [i, s] + [s + 1 + k for k in order[1:]]
+    rows = _epigraph(gs, s)
+    return [rows[0]] + [rows[1 + k] for k in order], [i, s] + [s + 1 + k for k in order[1:]]
 
 
 def _lp_costs(cs: Sequence[Value], rdelta: Value, npiv: int) -> list[list[int]]:
@@ -224,30 +232,24 @@ def _lp_costs(cs: Sequence[Value], rdelta: Value, npiv: int) -> list[list[int]]:
     return [[x.numerator * (scale // x.denominator) for x in row] + [0] * npiv for row in rows]
 
 
-def _by_pivot(
-    gs: dict[Tuple_, Tuple_], vertices: Sequence[tuple[Fraction, ...]]
-) -> list[tuple[Tuple_, list[tuple[Fraction, ...]]]]:
-    """Epigraph vertices (w, z) grouped by every pivot p with g_p . w = z, i.e. by
-    the regions where p attains the maximum; each keeps its sorted order."""
-    return [(p, [v for v in vertices if sum(map(mul, g, v)) == v[-1]]) for p, g in gs.items()]
-
-
 def region_minima(
     fs: FiltrationSpec, ps: PivotSet, sp: StabilityParam
 ) -> list[tuple[Tuple_, list[tuple[Weights, Value]]]]:
     """Vertices of each pivot p's region (where p attains r_value) with their exact
     values; there the value is linear, with g_p . w in place of the maximum.
 
-    They are the vertices (w, z) of the epigraph {w in the simplex, z >= g_q . w
-    for every pivot q} at which z = g_p . w, so one enumeration serves every
-    region.  `check --trace` prints them."""
+    They are the vertices of the epigraph {w in the simplex, z - g_q . w =
+    slack_q >= 0 for every pivot q} at which slack_p = 0, so one enumeration
+    serves every region.  `check --trace` prints them."""
     cs = constants(fs, sp)
     _check_instance(fs, ps)
     s, r = fs.s, fs.total.rank
     gs = _pivot_coeffs(ps, s)
     vertices = _epigraph_vertices(list(gs.values()), s, ())
     value = {v: _value(sp, cs, r, v[:s], v[s]) for v in vertices}
-    return [(p, [(v[:s], value[v]) for v in vs]) for p, vs in _by_pivot(gs, vertices)]
+    return [
+        (p, [(v[:s], value[v]) for v in vertices if v[s + 1 + k] == 0]) for k, p in enumerate(gs)
+    ]
 
 
 def decide_destabilizing(
@@ -263,11 +265,12 @@ def decide_destabilizing(
 
     The value c . w + r delta max_p g_p . w is convex (delta > 0), so its
     minimum is the epigraph LP: minimize c . w + r delta z subject to sum w = 1,
-    w >= 0 and z >= g_p . w.  The columns with a strictly positive reduced cost
-    at the optimum vanish on every optimum; fixing them at zero leaves the
-    optimal face.  On the face max_p g_p . w is affine, so each pivot's region
-    meets it in a face: its vertices, grouped by the pivots attaining the
-    maximum there, are exactly the region vertices that reach the minimum.
+    w >= 0 and z - g_p . w = slack_p >= 0.  The columns with a strictly
+    positive reduced cost at the optimum vanish on every optimum; fixing them
+    at zero leaves the optimal face, read off the final tableau.  On the face
+    max_p g_p . w is affine, so each pivot's region meets it in a face: its
+    vertices with slack_p = 0 are exactly the region vertices that reach the
+    minimum.
 
     The witness is the lexicographically least of them, and the attaining pivot
     the least pivot with one.  A zero minimum is marginal when the vertices of
@@ -284,9 +287,11 @@ def decide_destabilizing(
         raise InstanceError("steps: expected at least one step, got []")
     gs = _pivot_coeffs(ps, s)
     costs = _lp_costs(cs, fs.total.rank * sp.delta, len(gs))
-    zero = simplex(*_start(costs, list(gs.values()), s), costs)
-    face = _epigraph_vertices(list(gs.values()), s, zero)
-    regions = [(p, vs) for p, vs in _by_pivot(gs, face) if vs]
+    tableau, basis = _start(costs, list(gs.values()), s)
+    zero = simplex(tableau, basis, costs)
+    face = optimal_face(tableau, basis, zero)
+    regions = [(p, [v for v in face if v[s + 1 + k] == 0]) for k, p in enumerate(gs)]
+    regions = [(p, vs) for p, vs in regions if vs]
 
     witness = face[0][:s]
     min_value = _value(sp, cs, fs.total.rank, witness, face[0][s])

@@ -309,6 +309,7 @@ P1_ERRORS = [
     ),
     (_tensor([0, 0, 0], [[1, 2]]), "support: expected multisets of 3 indices in 1..3, got [1, 2]"),
     (_tensor([-2, 1, 1], [[3, 2, 3]]), "support: expected degree sums <= 0, got [2, 3, 3]"),
+    ([1], "tensor: expected an object, got [1]"),
 ]
 
 
@@ -325,6 +326,23 @@ def test_p1_delta_errors_name_their_source(tmp_path, capsys):
     assert code == 2 and err.startswith("error: --delta: invalid rational '1/0'")
     code, _, err = run(capsys, ["p1", "check", write_json(tmp_path, dict(tensor, delta=0.5))])
     assert code == 2 and err.startswith("error: delta: expected a rational string, got 0.5")
+    for argv in (["check", write_json(tmp_path, tensor)], ["classify"]):
+        code, out, err = run(capsys, ["p1", *argv, "--delta", "0"])
+        assert code == 2 and out == ""
+        assert err == "error: --delta: expected a positive rational, got 0\n"
+
+
+def test_p1_classify_bound_is_checked_and_guarded(monkeypatch, capsys):
+    code, out, err = run(capsys, ["p1", "classify", "--bound", "-1"])
+    assert code == 2 and out == ""
+    assert err == "error: --bound: expected a nonnegative integer, got -1\n"
+    code, out, err = run(capsys, ["p1", "classify", "--bound", "100"])
+    assert code == 2 and out == ""
+    assert err == "error: --bound: classify would decide 410973 tensors > 100000\n"
+    monkeypatch.setenv("DESTAB_GUARD", "1000")
+    code, out, err = run(capsys, ["p1", "classify"])  # bound 0: 1023 tensors
+    assert code == 2 and out == ""
+    assert err == "error: --bound: classify would decide 1023 tensors > 1000\n"
 
 
 # One step of rank 1 and degree 0 in a rank-2 sheaf of degree D, arity 1, delta 1,

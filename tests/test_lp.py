@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import destab.polytope
-from destab.polytope import simplex
+from destab.polytope import optimal_face, simplex
 from destab import (
     FiltrationSpec,
     PivotSet,
@@ -19,7 +19,14 @@ from destab import (
 from destab.cli import main
 from destab.instances import parse_instance
 from destab.model import InstanceError
-from destab.stability import MARGINALLY_DESTABILIZED, _pivot_coeffs, constants, region_minima
+from destab.stability import (
+    MARGINALLY_DESTABILIZED,
+    _lp_costs,
+    _pivot_coeffs,
+    _start,
+    constants,
+    region_minima,
+)
 
 import oracles
 from util import RANK6_INSTANCE, level_set_instance, rank6
@@ -88,6 +95,63 @@ def test_slope_minimum_matches_sympy_lpmin(gate_instances):
         assert F(int(value.p), int(value.q)) == decide_destabilizing(fs, ps, sp).min_value
 
 
+def _lp_face(fs, ps, sp):
+    """The pivot coefficients, the LP's zero columns and its optimal face."""
+    gs = list(_pivot_coeffs(ps, fs.s).values())
+    costs = _lp_costs(constants(fs, sp), fs.total.rank * sp.delta, len(gs))
+    tableau, basis = _start(costs, gs, fs.s)
+    zero = simplex(tableau, basis, costs)
+    return gs, zero, optimal_face(tableau, basis, zero)
+
+
+def _oracle_face(gs, s, zero):
+    """Vertices (w, z) of {sum w = 1, w >= 0, z >= 0, z >= g_k . w} with each LP
+    column in `zero` (w_j, z or the slack z - g_k . w) at 0, by the Fraction oracle."""
+    unit = [[int(c == j) for c in range(s + 1)] for j in range(s + 1)]
+    bounds = [oracles.make_row(row, 0) for row in unit]
+    bounds += [oracles.make_row([-x for x in g] + [1], 0) for g in gs]
+    eqs = [oracles.make_row([1] * s + [0], 1)] + [bounds[j] for j in zero]
+    return oracles.enumerate_vertices(eqs, bounds, s + 1)
+
+
+def test_optimal_face_matches_the_oracle_face(gate_instances):
+    sizes = set()
+    for fs, ps, sp in gate_instances:
+        s = fs.s
+        gs, zero, face = _lp_face(fs, ps, sp)
+        assert [v[: s + 1] for v in face] == _oracle_face(gs, s, zero)
+        for v in face:  # the slacks are z - g_k . w
+            assert list(v[s + 1 :]) == [v[s] - sum(a * x for a, x in zip(g, v)) for g in gs]
+        sizes.add((sp.mode, len(face)))
+    assert sizes == {("slope", 1), ("slope", 2), ("hilbert", 1)}
+
+    # A segment face at a positive minimum: one free column, w[1], with z = 2
+    # all along; the slack of the pivot (2, 2, 2), g = (0, 3, 3), is 1/2 where
+    # w[1] = 0.
+    fs = FiltrationSpec(3, 1, SheafData(4, 0), tuple(SheafData(r, 0) for r in (1, 2, 3)))
+    ps = PivotSet.from_tuples([(1, 1, 4), (1, 2, 3), (2, 2, 2)], t=4, arity=3)
+    gs, zero, face = _lp_face(fs, ps, StabilityParam.slope(F(3)))
+    assert zero == [4, 5]
+    assert face == [(F(1, 3), F(1, 3), F(1, 3), F(2), F(0), F(0), F(0)),
+                    (F(1, 2), F(0), F(1, 2), F(2), F(0), F(0), F(1, 2))]
+    assert [v[:4] for v in face] == _oracle_face(gs, 3, zero)
+
+    # A zero minimum on the segment [(1/2, 1/2), (1, 0)], as in the marginal test.
+    fs = FiltrationSpec(4, 1, SheafData(4, 0), (SheafData(2, 0), SheafData(3, 0)))
+    ps = PivotSet.from_tuples([(1, 1, 2, 3), (1, 2, 2, 2)], t=3, arity=4)
+    gs, zero, face = _lp_face(fs, ps, StabilityParam.slope(F(1, 2)))
+    assert zero == [3]
+    assert face == [(F(1, 2), F(1, 2), F(5, 2), F(0), F(0)), (F(1), F(0), F(2), F(0), F(1))]
+    assert [v[:3] for v in face] == _oracle_face(gs, 2, zero)
+
+
+def test_optimal_face_counts_a_vertex_once_whatever_its_rows_scale():
+    # Canonical rows x0 + 2 x1 = 2 and x1 + x2 = 1 over the basis x0, x2: in the
+    # free column x1 they read -2 x1 >= -2 and -x1 >= -1, tight at the same end.
+    face = optimal_face([[1, 2, 0, 2], [0, 1, 1, 1]], [0, 2], [])
+    assert face == [(F(0), F(1), F(0)), (F(2), F(0), F(1))]
+
+
 def test_simplex_compares_cost_rows_lexicographically():
     def solve(costs):  # minimize over x0 + x1 + x2 = 1, x >= 0, from x = e_0
         basis = [0]
@@ -115,6 +179,8 @@ def test_simplex_starts_from_rows_as_written():
         basis = [0, 3]
         assert simplex(tableau, basis, [[1, 2, 0, 0]]) == [1, 3]
         assert basis == [0, 2]
+        # The final rows are left in the tableau, and the face is read off them.
+        assert optimal_face(tableau, basis, [1, 3]) == [(F(1, 2), F(0), F(1, 2), F(0))]
 
 
 def test_marginal_witness_is_the_centroid_of_the_last_positive_region():

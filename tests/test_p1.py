@@ -14,6 +14,7 @@ from destab.p1 import (
     flag_pivots,
     is_semistable_p1,
     k_values,
+    tensor_count,
     validate_p1,
 )
 
@@ -157,10 +158,17 @@ def test_enumerate_two_pivot_matrices():
 
 def test_classify_row_shape():
     rows = classify(Fraction(1), 0)
-    assert len(rows) == 1023  # all nonempty subsets of the ten cubic monomials
+    assert len(rows) == 1023 == tensor_count(0)  # all nonempty subsets of the ten cubic monomials
     assert all(row.degrees == (0, 0, 0) for row in rows)
     with pytest.raises(InstanceError):
         classify(Fraction(1), -1)
+
+
+def test_tensor_count_sums_the_nonempty_admissible_supports():
+    for bound in range(30):
+        triples = _degree_triples(bound)
+        assert tensor_count(bound) == sum(2 ** len(_admissible_multisets(d)) - 1 for d in triples)
+    assert [tensor_count(b) for b in (2, 50, 100)] == [1529, 107873, 410973]
 
 
 def test_classify_respects_degree_admissibility():
