@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Any, Optional
@@ -33,6 +34,7 @@ from .stability import (
     r_value,
     reduce_destabilizer,
     region_minima,
+    violates,
 )
 
 EXIT_OK = 0
@@ -67,7 +69,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         report["mu"] = frac_str(mu_via_pivots(fs, ps, weights))
         report["r_max"] = frac_str(rmax)
         report["attaining_pivot"] = list(pivot)
-        violated = value < 0 or (args.strict and not value > 0)
+        violated = violates(value, args.strict)
     else:
         verdict = decide_destabilizing(fs, ps, sp, strictness)
         report["verdict"] = verdict_json(verdict)
@@ -107,7 +109,27 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return EXIT_VIOLATED
 
 
+def _guard_comb(args: argparse.Namespace) -> None:
+    """Refuse a comb command above `guard_limit` steps, naming its arguments.  The
+    steps are table cells for partitions, coefficient products for qbinom, and
+    for the rest the a * t levels or, below the limit, the ordered a-tuples over
+    1..t, which verify sweeps about five times.  Arguments that the functions
+    reject take no steps."""
+    cmd, limit = args.comb_cmd, guard_limit(5_000_000)
+    if cmd in ("partitions", "qbinom"):
+        names, k, n = "k, n", args.k, args.n
+        need = min(k, n - k) * n if 0 <= k <= n else 0
+        need = need * need // 2 if cmd == "qbinom" else need
+    else:
+        names, a, t = "a, t", args.a, args.t
+        need = 0 if a < 1 or t < 1 else a * t if a * t > limit else math.comb(a + t - 1, a)
+        need *= 5 if cmd == "verify" else 1
+    if need > limit:
+        raise InstanceError(f"{names}: comb {cmd} would take more than {limit} steps")
+
+
 def cmd_comb(args: argparse.Namespace) -> int:
+    _guard_comb(args)
     if args.comb_cmd == "partitions":
         print(comb.partition_count(args.k, args.n))
     elif args.comb_cmd == "f":

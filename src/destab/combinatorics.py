@@ -21,12 +21,16 @@ QPoly = tuple[int, ...]  # nonnegative integer coefficients, constant term first
 
 @lru_cache(maxsize=None)
 def partition_count(k: int, n: int) -> int:
-    """Number of partitions of n into exactly k parts."""
-    if k == 0 and n == 0:
-        return 1
-    if k <= 0 or n <= 0:
+    """Number of partitions of n into exactly k parts: those of m = n - k into
+    parts of at most k, counted one part size at a time in min(k, m) * m steps."""
+    m = n - k
+    if k < 0 or m < 0 or (k == 0 and m > 0):
         return 0
-    return partition_count(k, n - k) + partition_count(k - 1, n - 1)
+    ways = [1] + [0] * m
+    for part in range(1, min(k, m) + 1):
+        for j in range(part, m + 1):
+            ways[j] += ways[j - part]
+    return ways[m]
 
 
 @lru_cache(maxsize=None)
@@ -40,6 +44,8 @@ def f_atx(a: int, t: int, x: int) -> int:
         return 1  # 1 <= x <= t already holds here
     if t == 1:
         return 1  # x == a already holds here
+    if a >= t:  # conjugate: x - a fills an a x (t - 1) box as well as a (t - 1) x a one
+        return f_atx(t - 1, a + 1, x - a + t - 1)
     overflow = sum(f_atx(a - 1, k, x - k) for k in range(t + 1, x - a + 2))
     return partition_count(a, x) - overflow
 
@@ -122,6 +128,7 @@ def gaussian_binomial(n: int, k: int) -> QPoly:
     """q-binomial coefficient as an integer polynomial, by exact division."""
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+    k = min(k, n - k)  # (n choose k) = (n choose n - k): multiply the shorter side
     num: list[int] = [1]
     den: list[int] = [1]
     for i in range(k):

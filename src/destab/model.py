@@ -94,12 +94,14 @@ def validate_filtration(fs: FiltrationSpec) -> None:
     for path, value in positive.items():
         if value < 1:
             raise InstanceError(f"{path}: expected a positive integer, got {value}")
+    if not fs.steps:
+        raise InstanceError("steps: expected at least one step, got []")
     prev = 0
     for k, st in enumerate(fs.steps):
         if st.rank <= prev:
             raise InstanceError(f"steps[{k}].rank: expected a rank above {prev}, got {st.rank}")
         prev = st.rank
-    if fs.steps and prev >= fs.total.rank:
+    if prev >= fs.total.rank:
         raise InstanceError(
             f"steps[{fs.s - 1}].rank: expected a rank below the total rank "
             f"{fs.total.rank}, got {prev}"

@@ -108,11 +108,10 @@ class P1Verdict:
 def is_semistable_p1(tensor: P1Tensor, strictness: str = "semi") -> P1Verdict:
     """Decide (semi)stability by running all six flag filtrations exactly.
 
-    The verdict reads off the six minima alone: all >= 0 (semi), all > 0
-    (stable).  The step conditions are only reported, as the minima imply
-    them: the value at a vertex e_i of a flag's weight segment is step i's
-    condition, and a zero minimum there is either marginal or attained only at
-    an end e_i, whose strict step condition then fails.
+    The tensor is (semi)stable when no flag's verdict is `violated`: every
+    minimum >= 0 (semi), > 0 (stable).  The step conditions are only reported,
+    as the minima imply them: the value at a vertex e_i of a flag's weight
+    segment is step i's condition.
     """
     validate_p1(tensor)
     sp = StabilityParam.slope(tensor.delta)
@@ -122,12 +121,8 @@ def is_semistable_p1(tensor: P1Tensor, strictness: str = "semi") -> P1Verdict:
         fs = _flag_filtration(tensor, i, j)
         ps = flag_pivots(tensor, i, j)
         flags.append((i, j, decide_destabilizing(fs, ps, sp, strictness)))
-        conds = check_k_semistable(fs, ps, sp, strict=(strictness == "stable"))
-        steps.append((i, j, (conds[0], conds[1])))
-    if strictness == "stable":
-        semistable = all(v.min_value > 0 for _, _, v in flags)
-    else:
-        semistable = all(v.min_value >= 0 for _, _, v in flags)
+        steps.append((i, j, tuple(check_k_semistable(fs, ps, sp, strictness == "stable"))))
+    semistable = not any(v.violated for _, _, v in flags)
     return P1Verdict(semistable, tuple(flags), tuple(steps))
 
 

@@ -153,6 +153,12 @@ def objective(fs: FiltrationSpec, ps: PivotSet, w: Weights, sp: StabilityParam) 
     return _value(sp, constants(fs, sp), fs.total.rank, w, r_value(fs, ps, w)[0])
 
 
+def violates(value: Value, strict: bool) -> bool:
+    """The one stability rule: a negative value violates semistability, and a
+    value that is not positive violates stability (`strict`)."""
+    return value < 0 or (strict and not value > 0)
+
+
 def k_of_level(ps: PivotSet, level: int) -> int:
     """Largest number of factors the morphism keeps inside the given step."""
     if not 1 <= level <= ps.t - 1:
@@ -163,15 +169,14 @@ def k_of_level(ps: PivotSet, level: int) -> int:
 def check_k_semistable(
     fs: FiltrationSpec, ps: PivotSet, sp: StabilityParam, strict: bool = False
 ) -> list[bool]:
-    """Per-step length-one condition: constant + r * delta * k is >= 0 (> 0 if strict)."""
+    """Per-step length-one condition: `not violates(constant + r * delta * k, strict)`."""
     _check_instance(fs, ps)
     cs = constants(fs, sp)
     r = fs.total.rank
-    results = []
-    for level, c in enumerate(cs, start=1):
-        value = c + r * k_of_level(ps, level) * sp.delta
-        results.append(value > 0 if strict else not value < 0)
-    return results
+    return [
+        not violates(c + r * k_of_level(ps, level) * sp.delta, strict)
+        for level, c in enumerate(cs, start=1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -208,15 +213,14 @@ def _epigraph_vertices(
 
 
 def _start(costs: list[list[int]], gs: Sequence[Tuple_], s: int) -> tuple[list[IntRow], list[int]]:
-    """The `_epigraph` rows, the first pivot attaining max_p g_p[i] first, and
-    a feasible basis, w_i, z and every other slack, at the simplex vertex e_i
-    that the cost rows rank cheapest."""
+    """The `_epigraph` rows as written and a feasible basis at the simplex
+    vertex e_i that the cost rows rank cheapest: w_i for the simplex row, z for
+    the row of the first pivot attaining max_p g_p[i], and its own slack for
+    every other pivot's row."""
     tops = [max(g[i] for g in gs) for i in range(s)]
     i = min(range(s), key=lambda j: [row[j] + row[s] * tops[j] for row in costs])
     k0 = next(k for k, g in enumerate(gs) if g[i] == tops[i])
-    order = [k0] + [k for k in range(len(gs)) if k != k0]
-    rows = _epigraph(gs, s)
-    return [rows[0]] + [rows[1 + k] for k in order], [i, s] + [s + 1 + k for k in order[1:]]
+    return _epigraph(gs, s), [i] + [s if k == k0 else s + 1 + k for k in range(len(gs))]
 
 
 def _lp_costs(cs: Sequence[Value], rdelta: Value, npiv: int) -> list[list[int]]:
@@ -257,11 +261,12 @@ def decide_destabilizing(
 ) -> CheckVerdict:
     """Exact minimum of the stability value over the closed weight simplex.
 
-    A negative minimum violates semistability (a nearby strictly positive
-    rational weight also violates, by continuity).  A zero minimum attained at
-    strictly positive weights violates stability only; a zero minimum attained
-    only on the simplex boundary names the subfiltration supported on the
-    positive coordinates instead of indicting the full flag.
+    `violated` is `violates(min_value, strictness == "stable")`.  A negative
+    minimum violates semistability (a nearby strictly positive rational weight
+    also violates, by continuity).  Any zero minimum violates stability: one
+    attained at strictly positive weights is marginal, and one attained only on
+    the simplex boundary names the subfiltration on the positive coordinates
+    (`boundary_support`), which has value 0 at positive weights.
 
     The value c . w + r delta max_p g_p . w is convex (delta > 0), so its
     minimum is the epigraph LP: minimize c . w + r delta z subject to sum w = 1,
@@ -283,8 +288,6 @@ def decide_destabilizing(
     cs = constants(fs, sp)
     _check_instance(fs, ps)
     s = fs.s
-    if s < 1:
-        raise InstanceError("steps: expected at least one step, got []")
     gs = _pivot_coeffs(ps, s)
     costs = _lp_costs(cs, fs.total.rank * sp.delta, len(gs))
     tableau, basis = _start(costs, list(gs.values()), s)
@@ -308,9 +311,7 @@ def decide_destabilizing(
                 classification, witness = MARGINALLY_DESTABILIZED, centroid
         if classification == BOUNDARY_WITNESS:
             boundary = tuple(i + 1 for i, c in enumerate(witness) if c > 0)
-    violated = min_value < 0 or (
-        strictness == "stable" and classification == MARGINALLY_DESTABILIZED
-    )
+    violated = violates(min_value, strictness == "stable")
     return CheckVerdict(min_value, witness, regions[0][0], classification, violated, boundary)
 
 
@@ -356,8 +357,6 @@ def check_splitting(
     validate_filtration(fs)
     _check_instance(fs, ps)
     s = fs.s
-    if s < 1:
-        raise InstanceError("steps: expected at least one step, got []")
     gs = list(_pivot_coeffs(ps, s).values())
     # All pivot sums equal: every slack z - g_p . w is zero, with w on the simplex.
     vertices = _epigraph_vertices(gs, s, range(s + 1, s + 1 + len(gs)))

@@ -170,9 +170,7 @@ def decide_destabilizing(fs, ps, sp, strictness="semi", kernel=enumerate_vertice
     else:
         classification = BOUNDARY_WITNESS
         boundary = tuple(i + 1 for i, c in enumerate(witness) if c > 0)
-    violated = best_value < 0 or (
-        strictness == "stable" and classification == MARGINALLY_DESTABILIZED
-    )
+    violated = best_value < 0 or (strictness == "stable" and not best_value > 0)
     return CheckVerdict(best_value, witness, best_pivot, classification, violated, boundary)
 
 

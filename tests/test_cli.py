@@ -211,6 +211,10 @@ STRUCTURAL_ERRORS = [
         dict(RANK6_INSTANCE, steps=[], pivots=[[1, 1, 1, 1]]),
         "steps: expected at least one step, got []",
     ),
+    (
+        dict(RANK6_INSTANCE, steps=[], pivots=[[1, 1, 1, 1]], weights=[]),
+        "steps: expected at least one step, got []",
+    ),
 ]
 
 
@@ -220,6 +224,35 @@ def test_structural_errors_name_their_json_path(tmp_path, capsys, instance, mess
     code, out, err = run(capsys, [command, write_json(tmp_path, instance)])
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+# A zero minimum attained only at e_2: step 2's subfiltration has value 0.
+BOUNDARY_ZERO_INSTANCE = {
+    "arity": 1,
+    "total": {"rank": 3, "degree": -2},
+    "steps": [{"rank": 1, "degree": -4}, {"rank": 2, "degree": -2}],
+    "delta": "1",
+    "pivots": [[3]],
+}
+
+
+def test_strict_check_fails_on_a_boundary_zero_minimum(tmp_path, capsys):
+    path = write_json(tmp_path, BOUNDARY_ZERO_INSTANCE)
+    code, out, _ = run(capsys, ["check", "--strict", path])
+    report = json.loads(out)
+    assert code == 1 and report["violated"] is True
+    assert report["verdict"]["classification"] == "boundary-witness"
+    assert report["verdict"]["violated"] is True
+    assert report["step_conditions"] == [True, False]
+    code, out, _ = run(capsys, ["check", path])
+    assert code == 0 and json.loads(out)["violated"] is False
+
+
+def test_strict_reduce_shrinks_a_boundary_zero_minimum(tmp_path, capsys):
+    code, out, _ = run(capsys, ["reduce", "--strict", write_json(tmp_path, BOUNDARY_ZERO_INSTANCE)])
+    report = json.loads(out)
+    assert code == 1
+    assert report["subset"] == [2] and report["witness"] == ["1"]
 
 
 def test_check_counts_weights_per_step(tmp_path, capsys):
@@ -397,6 +430,36 @@ def test_comb_verify(capsys):
     code, out, _ = run(capsys, ["comb", "verify", "3", "3"])
     assert code == 0
     assert out.count("pass") == 3
+
+
+@pytest.mark.parametrize(
+    "argv, value", [(["partitions", "2", "5000"], "2500"), (["f", "2", "3000", "3000"], "1500")]
+)
+def test_comb_large_arguments_do_not_recurse(capsys, argv, value):
+    code, out, _ = run(capsys, ["comb", *argv])
+    assert code == 0 and out.strip() == value
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["maxp", "3", "2000"], "a, t"),
+        (["verify", "2", "3000"], "a, t"),
+        (["f", "6", "1000", "3500"], "a, t"),
+        (["partitions", "5000", "10000"], "k, n"),
+        (["qbinom", "200", "100"], "k, n"),
+    ],
+)
+def test_comb_refuses_oversized_arguments(capsys, argv, names):
+    code, out, err = run(capsys, ["comb", *argv])
+    assert code == 2 and out == ""
+    assert err == f"error: {names}: comb {argv[0]} would take more than 5000000 steps\n"
+
+
+def test_comb_guard_follows_destab_guard(capsys, monkeypatch):
+    monkeypatch.setenv("DESTAB_GUARD", "100")  # C(12, 3) = 220 ordered 3-tuples over 1..10
+    code, _, err = run(capsys, ["comb", "maxp", "3", "10"])
+    assert code == 2 and err == "error: a, t: comb maxp would take more than 100 steps\n"
 
 
 def test_p1_check_trivial_diagonal(tmp_path, capsys):

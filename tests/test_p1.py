@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -17,6 +18,8 @@ from destab.p1 import (
     tensor_count,
     validate_p1,
 )
+from destab.stability import check_k_semistable, decide_destabilizing
+from util import level_set_instance
 
 
 def tensor(degrees, support, delta=1):
@@ -179,14 +182,14 @@ def test_classify_respects_degree_admissibility():
 
 
 def test_stable_verdict_reads_off_the_minima_alone():
-    # No flag is violated, yet four flags have a zero minimum attained only at
-    # one end of their weight segment, where the strict step condition fails.
+    # Four flags have a zero minimum attained only at one end of their weight
+    # segment, where the strict step condition fails; each violates stability.
     verdict = is_semistable_p1(tensor((0, 0, 0), [(1, 1, 2), (2, 3, 3)], Fraction(1, 2)), "stable")
     assert not verdict.semistable
-    assert not any(v.violated for _, _, v in verdict.flags)
     zeros = {(i, j): v for i, j, v in verdict.flags if v.min_value == 0}
     assert set(zeros) == {(1, 3), (2, 1), (2, 3), (3, 1)}
     assert all(v.classification == "boundary-witness" for v in zeros.values())
+    assert all(v.violated for v in zeros.values())
     conds = {(i, j): c for i, j, c in verdict.step_conditions}
     assert all(not all(conds[flag]) for flag in zeros)
 
@@ -203,11 +206,27 @@ def _bounded_universe(bound):
 @pytest.mark.parametrize("strictness", ["semi", "stable"])
 def test_minima_verdict_matches_the_step_condition_route(strictness):
     # The step-condition route: no flag violated and every step condition holds.
+    # Each flag follows the one rule, and a failing step condition violates it,
+    # so the verdict is also "no flag violated".
     for degrees, support in _bounded_universe(2)[::17]:
         for delta in (Fraction(1, 2), Fraction(1), Fraction(2)):
             verdict = is_semistable_p1(tensor(degrees, support, delta), strictness)
+            for (_, _, v), (_, _, conds) in zip(verdict.flags, verdict.step_conditions):
+                zero_fails = strictness == "stable" and v.min_value == 0
+                assert v.violated == (v.min_value < 0 or zero_fails)
+                assert all(conds) or v.violated
             expected = all(not v.violated for _, _, v in verdict.flags) and all(
                 all(conds) for _, _, conds in verdict.step_conditions
             )
             assert verdict.semistable == expected
 
+
+def test_one_stability_rule_on_the_level_set_pool():
+    # Stable mode fails on any zero minimum, and a failing strict step
+    # condition is a violation; the pool is built so that zero minima occur.
+    rng = random.Random(10)
+    for kind in [("slope",), ("hilbert",), ("hilbert", 2)] * 40:
+        fs, ps, sp = level_set_instance(rng, *kind)
+        verdict = decide_destabilizing(fs, ps, sp, "stable")
+        assert verdict.violated == (not verdict.min_value > 0)
+        assert all(check_k_semistable(fs, ps, sp, strict=True)) or verdict.violated

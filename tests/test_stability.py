@@ -34,6 +34,8 @@ from destab.stability import (
     STABLE_OK,
     STRICTLY_DESTABILIZED,
 )
+import oracles
+from oracles import make_row
 from util import level_set_instance, rank6, random_filtration, random_pivots, random_weights
 
 F = Fraction
@@ -380,6 +382,18 @@ def test_check_splitting_single_pivot_always_splits():
     ps = PivotSet.from_tuples([(1, 2)], t=3, arity=2)
     splits, ray = check_splitting(fs, ps)
     assert splits and ray is not None and sum(ray) == 1
+
+
+def test_check_splitting_finds_no_split_at_arity_four():
+    # No antichain of arity <= 3 with t <= 5 fails to split; this one does.
+    fs, _ = simple([1, 2, 3], [0, 0, 0], 4, 0, arity=4)
+    pivots = [(1, 1, 3, 4), (1, 2, 2, 4), (1, 2, 3, 3), (2, 2, 2, 2)]
+    ps = PivotSet.from_tuples(pivots, t=4, arity=4)
+    assert check_splitting(fs, ps) == (False, None)
+    gs = [[sum(1 for c in p if c <= i) for i in range(1, fs.s + 1)] for p in ps.pivots]
+    equal_sums = [make_row([a - b for a, b in zip(g, gs[0])], 0) for g in gs[1:]]
+    nonneg = [make_row([int(i == j) for i in range(fs.s)], 0) for j in range(fs.s)]
+    assert oracles.enumerate_vertices([make_row([1] * fs.s, 1)] + equal_sums, nonneg, fs.s) == []
 
 
 def test_check_splitting_consistency_random():
