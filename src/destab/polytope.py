@@ -1,18 +1,16 @@
-"""Exact linear programming and vertex enumeration for small polytopes, in
-fraction-free integer arithmetic.
+"""Exact linear programming over small polytopes, in fraction-free integer
+arithmetic.
 
-Polytopes are given by equality rows (coeffs . x == rhs) and inequality rows
-(coeffs . x >= rhs) with integer entries.  `simplex` minimizes integer cost
-rows, ordered lexicographically, over equality rows and a feasible basis by the
-primal simplex method with Bland's rule and names the variables that vanish on
-every optimum; `optimal_face` reads the vertices of that optimal face off its
-final rows.  `enumerate_vertices` lists those of any small polytope, reducing
-the equalities once and substituting their pivot variables away.  In both,
-every vertex turns `need` inequalities tight, one per free variable.
-`_eliminate` is the one elimination step, and keeps rows integral and
-primitive (no fractions); points are integer numerators over a common
-denominator until returned as `Fraction`s.  Intended scale is at most ~12
-variables.
+`simplex` minimizes integer cost rows, ordered lexicographically, over
+equality rows and a feasible basis by the primal simplex method with Bland's
+rule and names the variables that vanish on every optimum; `optimal_face`
+reads the vertices of that optimal face off its final rows.  With zero costs
+the optimal face is the whole feasible set, so one LP answers every vertex
+question.  Every vertex turns `need` inequalities tight, one per free
+variable, and `solve_unique` solves each such square system.  `_eliminate` is
+the one elimination step, and keeps rows integral and primitive (no
+fractions); points are integer numerators over a common denominator until
+returned as `Fraction`s.  Intended scale is at most ~12 variables.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from typing import Iterable, Optional, Sequence
 
 from .model import InstanceError, guard_limit
 
-Row = tuple[Sequence[int], int]  # (coefficients, right-hand side)
 IntRow = list[int]  # integer coefficients followed by the right-hand side
 Point = tuple[tuple[int, ...], int]  # (numerators, positive common denominator)
 
@@ -47,35 +44,21 @@ def _eliminate(mat: list[IntRow], k: int, col: int) -> None:
             mat[i] = _primitive([pivot * a - f * b for a, b in zip(row, prow)])
 
 
-def _reduce(rows: Iterable[IntRow], dim: int) -> Optional[list[tuple[int, IntRow]]]:
-    """Fraction-free Gauss-Jordan: (pivot column, primitive row) pairs in column
-    order, each pivot positive and alone in its column; None if inconsistent."""
-    mat = list(rows)
-    cols: list[int] = []
-    for col in range(dim):
-        top = len(cols)
-        for k in range(top, len(mat)):
-            if mat[k][col]:
-                break
-        else:
-            continue
-        mat[k], mat[top] = mat[top], mat[k]
-        _eliminate(mat, top, col)
-        cols.append(col)
-    if any(row[dim] for row in mat[len(cols):]):  # these rows have zero coefficients
-        return None
-    return list(zip(cols, mat))
-
-
 def solve_unique(rows: Sequence[IntRow], dim: int) -> Optional[Point]:
     """Unique solution of a square system of primitive integer rows, in lowest
-    terms so that equal points compare equal, or None if the system is singular."""
-    reduced = _reduce(rows, dim)
-    if reduced is None or len(reduced) < dim:
-        return None
+    terms so that equal points compare equal, or None if the system is singular.
+    Fraction-free Gauss-Jordan: column `col` takes its pivot from the rows at
+    or below `col`; a square system without one is singular."""
+    mat = list(rows)
+    for col in range(dim):
+        k = next((k for k in range(col, dim) if mat[k][col]), None)
+        if k is None:
+            return None
+        mat[k], mat[col] = mat[col], mat[k]
+        _eliminate(mat, col, col)
     # Each primitive row now reads pivot * x_col = rhs, a fraction in lowest terms.
-    den = lcm(*(row[col] for col, row in reduced))
-    return tuple(row[dim] * (den // row[col]) for col, row in reduced), den
+    den = lcm(*(row[col] for col, row in enumerate(mat)))
+    return tuple(row[dim] * (den // row[col]) for col, row in enumerate(mat)), den
 
 
 def simplex(tableau: list[IntRow], basis: list[int], costs: Sequence[Sequence[int]]) -> list[int]:
@@ -128,13 +111,22 @@ def simplex(tableau: list[IntRow], basis: list[int], costs: Sequence[Sequence[in
         basis[leave] = enter
 
 
-def _vertices(
-    basic: Sequence[tuple[int, IntRow]], free: list[int], ineqs: list[IntRow], dim: int
+def optimal_face(
+    tableau: Sequence[IntRow], basis: Sequence[int], zero: Iterable[int]
 ) -> list[tuple[Fraction, ...]]:
-    """Sorted vertices of {x : x_free meets `ineqs`, each basic row reads
-    row[col] * x_col + row[free] . x_free = row[dim], other columns are 0}.
-    Refuses with `InstanceError` when the tight subsets to try, C(len(ineqs),
-    len(free)), exceed `guard_limit(1_000_000)`."""
+    """Sorted vertices of the optimal face {x >= 0 : rows hold, x_zero = 0}
+    from the final `tableau` and `basis` of `simplex` and the `zero` columns it
+    returned.  Over the free columns F (nonbasic, not in `zero`) a row reads
+    row[b] * x_b + row[F] . x_F = rhs with row[b] > 0, so the face is x_F >= 0
+    and -row[F] . x_F >= -rhs: no elimination.  Each vertex turns need = |F|
+    of those inequalities tight; a point face has need = 0.  Refuses with
+    `InstanceError` when the tight subsets to try, C(len(ineqs), need), exceed
+    `guard_limit(1_000_000)`."""
+    dim = len(tableau[0]) - 1
+    fixed = {*basis, *zero}
+    free = [c for c in range(dim) if c not in fixed]
+    ineqs = [[int(c == f) for c in free] + [0] for f in free]
+    ineqs += [_primitive([-row[c] for c in free] + [-row[dim]]) for row in tableau]
     need = len(free)
     count, limit = comb(len(ineqs), need), guard_limit(1_000_000)
     if count > limit:
@@ -158,43 +150,8 @@ def _vertices(
         full = [Fraction(0)] * dim
         for col, v in zip(free, num):
             full[col] = Fraction(v, den)
-        for col, row in basic:
+        for col, row in zip(basis, tableau):
             rest = sum(row[c] * v for c, v in zip(free, num))
             full[col] = Fraction(row[dim] * den - rest, row[col] * den)
         vertices.append(tuple(full))
     return sorted(vertices)
-
-
-def enumerate_vertices(
-    equalities: Sequence[Row], inequalities: Sequence[Row], dim: int
-) -> list[tuple[Fraction, ...]]:
-    """All vertices of {x : eq rows hold, ineq rows >= rhs}, sorted; guarded
-    by `_vertices`."""
-    reduced = _reduce((_primitive([*a, b]) for a, b in equalities), dim)
-    if reduced is None:
-        return []
-    pivots = {col for col, _ in reduced}
-    free = [c for c in range(dim) if c not in pivots]
-    # Substitute the pivot variables away: each inequality row gains multiples of
-    # the equalities and positive factors only, so it keeps its solutions.
-    mat = [row for _, row in reduced] + [_primitive([*a, b]) for a, b in inequalities]
-    for k, (col, _) in enumerate(reduced):
-        _eliminate(mat, k, col)
-    ineqs = [[row[c] for c in free] + [row[dim]] for row in mat[len(reduced) :]]
-    return _vertices(reduced, free, ineqs, dim)
-
-
-def optimal_face(
-    tableau: Sequence[IntRow], basis: Sequence[int], zero: Iterable[int]
-) -> list[tuple[Fraction, ...]]:
-    """Sorted vertices of the optimal face {x >= 0 : rows hold, x_zero = 0}
-    from the final `tableau` and `basis` of `simplex` and the `zero` columns it
-    returned.  Over the free columns F (nonbasic, not in `zero`) a row reads
-    row[b] * x_b + row[F] . x_F = rhs with row[b] > 0, so the face is x_F >= 0
-    and -row[F] . x_F >= -rhs: no elimination.  A point face has need = 0."""
-    dim = len(tableau[0]) - 1
-    fixed = {*basis, *zero}
-    free = [c for c in range(dim) if c not in fixed]
-    ineqs = [[int(c == f) for c in free] + [0] for f in free]
-    ineqs += [_primitive([-row[c] for c in free] + [-row[dim]]) for row in tableau]
-    return _vertices(list(zip(basis, tableau)), free, ineqs, dim)

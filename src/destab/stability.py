@@ -4,15 +4,17 @@ Everything is exact.  A stability value is a `Fraction` in slope mode and an
 asymptotically ordered rational `UniPoly` in the polynomial (Hilbert) mode;
 both support `+`, scaling by a rational and `<`, so one code path serves both
 modes (slope mode is Hilbert mode with constant values).  Only
-`model.sheaf_values` knows the mode.  The destabilization decision minimizes
-the convex piecewise-linear stability value over the closed weight simplex by
-one exact epigraph LP, then reads the vertices of its optimal face off the
-simplex's final tableau.  The LP sees integers only: `_lp_costs` writes the
-values' coefficients, leading degree first, as integer cost rows, and their
-lexicographic order is the asymptotic order of the values.  `_epigraph` alone
-writes the epigraph's rows, over the columns w, z and one slack per pivot, for
-the LP, `--trace` and the splitting test; a pivot's region is where its slack
-vanishes.
+`model.sheaf_values` knows the mode.  Every polytope question is a face
+of one epigraph {sum w = 1, w >= 0, z - g_p . w = slack_p >= 0}, which
+`_epigraph` alone writes, over the columns w, z and one slack per pivot; a
+pivot's region is where its slack vanishes.  `_face` solves one exact LP over
+it and reads the vertices of its optimal face off the simplex's final tableau;
+only the integer cost row differs.  The decision minimizes the convex
+piecewise-linear stability value over the closed weight simplex: `_lp_costs`
+writes the values' coefficients, leading degree first, as integer cost rows,
+and their lexicographic order is the asymptotic order of the values.
+`--trace` takes zero costs, whose optimal face is the whole epigraph, and the
+splitting test minimizes the total slack.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .model import (
 )
 from .pivots import PivotSet, Tuple_, matrix_from_pivots, project_pivots
 from .poly import UniPoly
-from .polytope import IntRow, enumerate_vertices, optimal_face, simplex
+from .polytope import IntRow, optimal_face, simplex
 
 Value = Union[Fraction, UniPoly]
 Weights = tuple[Fraction, ...]
@@ -199,19 +201,6 @@ def _epigraph(gs: Sequence[Tuple_], s: int) -> list[IntRow]:
     ]
 
 
-def _epigraph_vertices(
-    gs: Sequence[Tuple_], s: int, fixed: Sequence[int]
-) -> list[tuple[Fraction, ...]]:
-    """Sorted vertices (w, z, slacks) of the epigraph {`_epigraph` rows hold,
-    w >= 0, slacks >= 0} with the columns in `fixed` at zero; the bounds of
-    those and z >= 0, implied by z >= g_p . w >= 0, are dropped."""
-    dim = s + 1 + len(gs)
-    unit = [tuple(int(c == j) for c in range(dim)) for j in range(dim)]
-    eqs = [(row[:dim], row[dim]) for row in _epigraph(gs, s)] + [(unit[j], 0) for j in fixed]
-    ineqs = [(unit[j], 0) for j in range(dim) if j != s and j not in fixed]
-    return enumerate_vertices(eqs, ineqs, dim)
-
-
 def _start(costs: list[list[int]], gs: Sequence[Tuple_], s: int) -> tuple[list[IntRow], list[int]]:
     """The `_epigraph` rows as written and a feasible basis at the simplex
     vertex e_i that the cost rows rank cheapest: w_i for the simplex row, z for
@@ -236,6 +225,13 @@ def _lp_costs(cs: Sequence[Value], rdelta: Value, npiv: int) -> list[list[int]]:
     return [[x.numerator * (scale // x.denominator) for x in row] + [0] * npiv for row in rows]
 
 
+def _face(costs: list[list[int]], gs: Sequence[Tuple_], s: int) -> list[tuple[Fraction, ...]]:
+    """Sorted vertices (w, z, slacks) of the epigraph's face where the cost
+    rows are least: one LP from the basis `_start` picks."""
+    tableau, basis = _start(costs, gs, s)
+    return optimal_face(tableau, basis, simplex(tableau, basis, costs))
+
+
 def region_minima(
     fs: FiltrationSpec, ps: PivotSet, sp: StabilityParam
 ) -> list[tuple[Tuple_, list[tuple[Weights, Value]]]]:
@@ -244,12 +240,13 @@ def region_minima(
 
     They are the vertices of the epigraph {w in the simplex, z - g_q . w =
     slack_q >= 0 for every pivot q} at which slack_p = 0, so one enumeration
-    serves every region.  `check --trace` prints them."""
+    serves every region: the LP with zero costs, whose optimal face is the
+    whole epigraph.  `check --trace` prints them."""
     cs = constants(fs, sp)
     _check_instance(fs, ps)
     s, r = fs.s, fs.total.rank
     gs = _pivot_coeffs(ps, s)
-    vertices = _epigraph_vertices(list(gs.values()), s, ())
+    vertices = _face([[0] * (s + 1 + len(gs))], list(gs.values()), s)
     value = {v: _value(sp, cs, r, v[:s], v[s]) for v in vertices}
     return [
         (p, [(v[:s], value[v]) for v in vertices if v[s + 1 + k] == 0]) for k, p in enumerate(gs)
@@ -290,9 +287,7 @@ def decide_destabilizing(
     s = fs.s
     gs = _pivot_coeffs(ps, s)
     costs = _lp_costs(cs, fs.total.rank * sp.delta, len(gs))
-    tableau, basis = _start(costs, list(gs.values()), s)
-    zero = simplex(tableau, basis, costs)
-    face = optimal_face(tableau, basis, zero)
+    face = _face(costs, list(gs.values()), s)
     regions = [(p, [v for v in face if v[s + 1 + k] == 0]) for k, p in enumerate(gs)]
     regions = [(p, vs) for p, vs in regions if vs]
 
@@ -358,11 +353,12 @@ def check_splitting(
     _check_instance(fs, ps)
     s = fs.s
     gs = list(_pivot_coeffs(ps, s).values())
-    # All pivot sums equal: every slack z - g_p . w is zero, with w on the simplex.
-    vertices = _epigraph_vertices(gs, s, range(s + 1, s + 1 + len(gs)))
-    if vertices:
-        return True, vertices[0][:s]
-    return False, None
+    # All pivot sums are equal where every slack z - g_p . w is zero: when the
+    # least total slack is 0, the optimal face is that polytope.
+    face = _face([[0] * (s + 1) + [1] * len(gs)], gs, s)
+    if any(face[0][s + 1 :]):
+        return False, None
+    return True, face[0][:s]
 
 
 def prune_nonnegative(

@@ -1,15 +1,18 @@
 """Test-only oracles: independent, slow routes to values the library computes.
 
 `enumerate_vertices` is the original vertex enumerator: Gaussian elimination
-over `Fraction` on the full system of every tight-constraint subset.  The
-library's fraction-free integer kernel must return exactly what it returns;
-`make_row` writes a rational row as the integer row that kernel takes.
-`region_minima` and `decide_destabilizing` are the original per-pivot decision:
-the vertices of every pivot's linearity region, each region enumerated on its
-own, and the minimum over all of them; the library solves one epigraph LP and
-enumerates only its optimal face, and must return exactly what they return.
-`flag_pivots` is the original p1 flag pivot extraction through the full 0/1
-table; the library derives the pivots directly from the support's levels.
+over `Fraction` on the full system of every tight-constraint subset, with
+`solve_unique` solving each one.  The library answers every polytope question
+with one fraction-free integer LP and lists the vertices of its optimal face;
+`polytope.solve_unique` must return exactly what `solve_unique` returns, and
+`make_row` writes a rational row as an integer row.  `region_minima` and
+`decide_destabilizing` are the original per-pivot decision: the vertices of
+every pivot's linearity region, each region enumerated on its own, and the
+minimum over all of them; `check_splitting` enumerates the polytope of equal
+pivot sums.  The library's zero-cost, least-value and least-slack LPs must
+return exactly what they return.  `flag_pivots` is the original p1 flag pivot
+extraction through the full 0/1 table; the library derives the pivots
+directly from the support's levels.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from destab.pivots import PivotSet, Tuple_, ordered_tuples, pivots_from_matrix
-from destab.polytope import Row
 from destab.stability import (
     BOUNDARY_WITNESS,
     MARGINALLY_DESTABILIZED,
@@ -29,6 +31,8 @@ from destab.stability import (
     CheckVerdict,
     constants,
 )
+
+Row = tuple[Sequence[int], int]  # (coefficients, right-hand side)
 
 
 def make_row(coeffs: Iterable, rhs) -> Row:
@@ -172,6 +176,17 @@ def decide_destabilizing(fs, ps, sp, strictness="semi", kernel=enumerate_vertice
         boundary = tuple(i + 1 for i, c in enumerate(witness) if c > 0)
     violated = best_value < 0 or (strictness == "stable" and not best_value > 0)
     return CheckVerdict(best_value, witness, best_pivot, classification, violated, boundary)
+
+
+def check_splitting(fs, ps):
+    """The lexicographically least point of {w in the simplex : g_p . w =
+    g_q . w for all pivots p, q}, as `check_splitting` reports it."""
+    s = fs.s
+    gs = [[sum(1 for c in p if c <= i) for i in range(1, s + 1)] for p in ps.pivots]
+    equal_sums = [make_row([a - b for a, b in zip(g, gs[0])], 0) for g in gs[1:]]
+    nonneg = [make_row([int(i == j) for i in range(s)], 0) for j in range(s)]
+    vertices = enumerate_vertices([make_row([1] * s, 1)] + equal_sums, nonneg, s)
+    return (True, vertices[0]) if vertices else (False, None)
 
 
 def flag_pivots(tensor, i: int, j: int) -> PivotSet:

@@ -21,6 +21,8 @@ from destab.instances import parse_instance
 from destab.model import InstanceError
 from destab.stability import (
     MARGINALLY_DESTABILIZED,
+    _epigraph,
+    _face,
     _lp_costs,
     _pivot_coeffs,
     _start,
@@ -145,6 +147,28 @@ def test_optimal_face_matches_the_oracle_face(gate_instances):
     assert [v[:3] for v in face] == _oracle_face(gs, 2, zero)
 
 
+def test_optimal_face_does_not_depend_on_the_start(gate_instances):
+    # Decide, --trace and check_splitting read the whole optimal set off one
+    # final tableau, so every feasible start must leave the same face: start at
+    # each simplex vertex e_i as `_start` would, for each of the three cost rows.
+    for fs, ps, sp in gate_instances:
+        s = fs.s
+        gs = list(_pivot_coeffs(ps, s).values())
+        kinds = (
+            _lp_costs(constants(fs, sp), fs.total.rank * sp.delta, len(gs)),
+            [[0] * (s + 1 + len(gs))],
+            [[0] * (s + 1) + [1] * len(gs)],
+        )
+        for costs in kinds:
+            face = _face(costs, gs, s)
+            for i in range(s):
+                top = max(g[i] for g in gs)
+                k0 = next(k for k, g in enumerate(gs) if g[i] == top)
+                tableau = _epigraph(gs, s)
+                basis = [i] + [s if k == k0 else s + 1 + k for k in range(len(gs))]
+                assert optimal_face(tableau, basis, simplex(tableau, basis, costs)) == face
+
+
 def test_optimal_face_counts_a_vertex_once_whatever_its_rows_scale():
     # Canonical rows x0 + 2 x1 = 2 and x1 + x2 = 1 over the basis x0, x2: in the
     # free column x1 they read -2 x1 >= -2 and -x1 >= -1, tight at the same end.
@@ -215,10 +239,10 @@ def test_decide_at_s6_p10_solves_few_tight_systems(monkeypatch):
 def test_enumeration_guard_refuses_with_exit_2(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("DESTAB_GUARD", "2")
     fs, ps, sp = rank6()
-    with pytest.raises(InstanceError, match=r"vertex enumeration too large: 20 tight subsets"):
-        region_minima(fs, ps, sp)  # C(6, 3): three weights, three bounds, three pivots
+    with pytest.raises(InstanceError, match=r"vertex enumeration too large: 35 tight subsets"):
+        region_minima(fs, ps, sp)  # C(7, 3): three free weights, the LP's four rows
     one_pivot = PivotSet.from_tuples([(2, 2, 3, 4)], t=4, arity=4)
-    with pytest.raises(InstanceError, match=r"\(C\(3, 2\)\) > 2"):
+    with pytest.raises(InstanceError, match=r"\(C\(4, 2\)\) > 2"):
         check_splitting(fs, one_pivot)
     assert decide_destabilizing(fs, ps, sp).min_value == F(-4, 3)  # a 0-dimensional face
 

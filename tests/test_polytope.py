@@ -1,18 +1,16 @@
-"""The fraction-free vertex enumerator against the Fraction-elimination oracle."""
+"""`polytope.solve_unique`, the fraction-free kernel that solves every tight
+system of the LP's vertex listing, against the Fraction-elimination oracle."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-import destab.stability
-from destab import check_splitting, decide_destabilizing
-from destab.polytope import enumerate_vertices
-from destab.stability import region_minima
+from destab.polytope import _primitive, solve_unique
 
 import oracles
 from oracles import make_row
-from util import level_set_instance
 
 F = Fraction
 
@@ -26,86 +24,84 @@ def _coeff(rng):
     return F(rng.randint(-6, 6), rng.randint(1, 5))
 
 
-def _random_system(rng):
+def _library(rows, dim):
+    """`solve_unique` on the rows written as primitive integer rows, as Fractions;
+    checks that the point is in lowest terms and that no row was changed."""
+    ints = [_primitive([*a, b]) for a, b in rows]
+    before = [list(row) for row in ints]
+    point = solve_unique(ints, dim)
+    assert ints == before
+    if point is None:
+        return None
+    num, den = point
+    got = tuple(F(n, den) for n in num)
+    assert den == lcm(*(x.denominator for x in got))
+    return got
+
+
+def _random_square_system(rng):
+    """`dim` random rows over `dim` unknowns; some are singular by construction:
+    a duplicate, a rescaled (possibly negated) or a dependent row, each
+    consistent with its source rows or not."""
     dim = rng.randint(1, 4)
-
-    def row():
-        return make_row([_coeff(rng) for _ in range(dim)], _coeff(rng))
-
-    eqs = [row() for _ in range(rng.randint(0, 3))]
-    if eqs and rng.random() < 0.3:  # dependent and consistent
-        k = F(rng.choice([-2, 3, 1]), rng.choice([1, 2]))
-        eqs.append(make_row([k * c for c in eqs[0][0]], k * eqs[0][1]))
-    if eqs and rng.random() < 0.15:  # dependent and inconsistent
-        eqs.append(make_row(eqs[0][0], eqs[0][1] + 1))
-    ineqs = [row() for _ in range(rng.randint(0, 6))]
-    if ineqs and rng.random() < 0.3:
-        ineqs.append(rng.choice(ineqs))  # duplicate row
-    return eqs, ineqs, dim
+    rows = [[_coeff(rng) for _ in range(dim + 1)] for _ in range(dim)]
+    kind = rng.choice(["random", "random", "duplicate", "rescaled", "dependent"])
+    if dim > 1 and kind != "random":
+        i, j = rng.sample(range(dim), 2)
+        a, b = F(rng.choice([-2, -1, 3]), rng.choice([1, 2])), F(rng.randint(-2, 2))
+        k = next(k for k in range(dim) if k != j)
+        source = {
+            "duplicate": rows[i],
+            "rescaled": [a * v for v in rows[i]],
+            "dependent": [a * u + b * v for u, v in zip(rows[i], rows[k])],
+        }[kind]
+        rows[j] = source[:-1] + [source[-1] + rng.choice([0, 0, 1])]
+    return [make_row(row[:-1], row[-1]) for row in rows], dim, kind
 
 
 def test_random_systems_match_the_oracle():
     rng = random.Random(20260418)
-    nonempty = 0
+    solved, kinds = 0, set()
     for _ in range(1000):
-        eqs, ineqs, dim = _random_system(rng)
-        got = enumerate_vertices(eqs, ineqs, dim)
-        assert got == oracles.enumerate_vertices(eqs, ineqs, dim), (eqs, ineqs, dim)
-        assert all(isinstance(c, Fraction) for v in got for c in v)
-        nonempty += bool(got)
-    assert 200 < nonempty < 800  # both empty and nonempty polytopes occur
+        rows, dim, kind = _random_square_system(rng)
+        got = _library(rows, dim)
+        assert got == oracles.solve_unique(rows, dim), (rows, dim)
+        solved += got is not None
+        kinds.add((kind, got is not None))
+    assert 300 < solved < 900  # both singular and regular systems occur
+    assert {("duplicate", False), ("rescaled", False), ("dependent", False)} <= kinds
 
 
 @pytest.mark.parametrize(
     "eqs, ineqs, dim, expected",
     [
-        # dim 1: the segment [1/3, 5/2]
-        ([], [make_row([3], 1), make_row([-2], -5)], 1, [(F(1, 3),), (F(5, 2),)]),
-        # dim 1 with a fractional equality and a redundant inequality
-        ([make_row([F(2, 3)], F(1, 2))], [make_row([1], 0)], 1, [(F(3, 4),)]),
-        # inconsistent equalities: empty
-        ([make_row([1, 1], 1), make_row([2, 2], 3)], [make_row([1, 0], 0)], 2, []),
-        # infeasible inequalities: empty
-        ([make_row([1, 1], 1)], [make_row([1, 0], 2), make_row([0, 1], 0)], 2, []),
-        # full-rank equalities: the single point, if it is feasible
+        # dim 1: one tight bound 3x >= 1
+        ([], [make_row([3], 1)], 1, [(F(1, 3),)]),
+        # dim 1: a fractional equality
+        ([make_row([F(2, 3)], F(1, 2))], [], 1, [(F(3, 4),)]),
+        # parallel, inconsistent rows: singular
+        ([make_row([1, 1], 1), make_row([2, 2], 3)], [], 2, []),
+        # a rescaled copy of a row: singular
+        ([make_row([1, 1], 1)], [make_row([F(1, 2), F(1, 2)], F(1, 2))], 2, []),
+        # the point where x + y = 1 meets x = y
+        ([make_row([1, 1], 1)], [make_row([1, -1], 0)], 2, [(F(1, 2), F(1, 2))]),
+        # the first column's pivot is negative and sits in the second row
+        ([make_row([0, 3], 1)], [make_row([-2, 0], 1)], 2, [(F(-1, 2), F(1, 3))]),
+        # a vertex of the 2-simplex, one of its facets rescaled
         (
-            [make_row([1, 1], 1), make_row([1, -1], 0)],
-            [make_row([1, 0], 0)],
-            2,
-            [(F(1, 2), F(1, 2))],
-        ),
-        ([make_row([1, 1], 1), make_row([1, -1], 0)], [make_row([1, 0], 1)], 2, []),
-        # the 2-simplex with duplicated and rescaled facets
-        (
-            [make_row([1, 1, 1], 1), make_row([2, 2, 2], 2)],
-            [make_row([1, 0, 0], 0), make_row([0, 1, 0], 0), make_row([0, 0, 1], 0),
-             make_row([F(1, 2), 0, 0], 0)],
+            [make_row([1, 1, 1], 1)],
+            [make_row([F(1, 2), 0, 0], 0), make_row([0, 1, 0], 0)],
             3,
-            [(0, 0, 1), (0, 1, 0), (1, 0, 0)],
+            [(0, 0, 1)],
         ),
+        # no unknowns: the empty point, over denominator 1
+        ([], [], 0, [()]),
     ],
 )
 def test_edge_cases(eqs, ineqs, dim, expected):
+    """The point where the equalities hold and the inequalities are tight, as
+    a vertex of {eqs, ineqs >= rhs} is found; [] when it is not unique."""
+    rows = [*eqs, *ineqs]
     expected = [tuple(F(c) for c in v) for v in expected]
-    assert enumerate_vertices(eqs, ineqs, dim) == expected
-    assert oracles.enumerate_vertices(eqs, ineqs, dim) == expected
-
-
-def _core_results(instances):
-    out = []
-    for fs, ps, sp in instances:
-        out.append(decide_destabilizing(fs, ps, sp, "semi"))
-        out.append(decide_destabilizing(fs, ps, sp, "stable"))
-        out.append(region_minima(fs, ps, sp))
-        out.append(check_splitting(fs, ps))
-    return out
-
-
-def test_core_results_match_through_the_oracle_kernel(monkeypatch):
-    rng = random.Random(4242)
-    instances = [level_set_instance(rng, "hilbert" if k % 3 == 2 else "slope") for k in range(40)]
-    assert {fs.s for fs, _, _ in instances} == {1, 2, 3, 4}
-    fast = _core_results(instances)
-    assert len({r.classification for r in fast[::4]}) == 4  # every verdict class occurs
-    monkeypatch.setattr(destab.stability, "enumerate_vertices", oracles.enumerate_vertices)
-    assert _core_results(instances) == fast
+    assert [p for p in [_library(rows, dim)] if p is not None] == expected
+    assert [p for p in [oracles.solve_unique(rows, dim)] if p is not None] == expected

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from destab import (
     reduce_destabilizer,
     validate_filtration,
 )
+from destab.pivots import ordered_tuples
 from destab.stability import (
     BOUNDARY_WITNESS,
     MARGINALLY_DESTABILIZED,
@@ -35,7 +37,6 @@ from destab.stability import (
     STRICTLY_DESTABILIZED,
 )
 import oracles
-from oracles import make_row
 from util import level_set_instance, rank6, random_filtration, random_pivots, random_weights
 
 F = Fraction
@@ -389,11 +390,22 @@ def test_check_splitting_finds_no_split_at_arity_four():
     fs, _ = simple([1, 2, 3], [0, 0, 0], 4, 0, arity=4)
     pivots = [(1, 1, 3, 4), (1, 2, 2, 4), (1, 2, 3, 3), (2, 2, 2, 2)]
     ps = PivotSet.from_tuples(pivots, t=4, arity=4)
-    assert check_splitting(fs, ps) == (False, None)
-    gs = [[sum(1 for c in p if c <= i) for i in range(1, fs.s + 1)] for p in ps.pivots]
-    equal_sums = [make_row([a - b for a, b in zip(g, gs[0])], 0) for g in gs[1:]]
-    nonneg = [make_row([int(i == j) for i in range(fs.s)], 0) for j in range(fs.s)]
-    assert oracles.enumerate_vertices([make_row([1] * fs.s, 1)] + equal_sums, nonneg, fs.s) == []
+    assert check_splitting(fs, ps) == oracles.check_splitting(fs, ps) == (False, None)
+    # The oracle agrees on every antichain of 2-4 such pivots and on a seeded pool.
+    instances = [
+        (fs, chain)
+        for n in (2, 3, 4)
+        for tuples in combinations(ordered_tuples(4, 4), n)
+        if len((chain := PivotSet.from_tuples(tuples, t=4, arity=4)).pivots) == n
+    ]
+    rng = random.Random(4242)
+    instances += [
+        level_set_instance(rng, "hilbert" if k % 3 == 2 else "slope")[:2] for k in range(40)
+    ]
+    verdicts = [check_splitting(fs, ps) for fs, ps in instances]
+    assert verdicts == [oracles.check_splitting(fs, ps) for fs, ps in instances]
+    assert len(verdicts) == 315 + 40
+    assert sum(not splits for splits, _ in verdicts[:315]) == 18
 
 
 def test_check_splitting_consistency_random():
