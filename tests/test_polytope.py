@@ -1,5 +1,6 @@
 """`polytope.solve_unique`, the fraction-free kernel that solves every tight
-system of the LP's vertex listing, against the Fraction-elimination oracle."""
+system of the LP's vertex listing, against the Fraction-elimination oracle,
+alone and as the kernel under decide, `--trace` and splitting."""
 
 import random
 from fractions import Fraction
@@ -7,10 +8,14 @@ from math import lcm
 
 import pytest
 
+import destab.polytope
+from destab import check_splitting, decide_destabilizing
 from destab.polytope import _primitive, solve_unique
+from destab.stability import region_minima
 
 import oracles
 from oracles import make_row
+from util import level_set_instance
 
 F = Fraction
 
@@ -105,3 +110,42 @@ def test_edge_cases(eqs, ineqs, dim, expected):
     expected = [tuple(F(c) for c in v) for v in expected]
     assert [p for p in [_library(rows, dim)] if p is not None] == expected
     assert [p for p in [oracles.solve_unique(rows, dim)] if p is not None] == expected
+
+
+def _oracle_kernel(rows, dim):
+    """`oracles.solve_unique` in `solve_unique`'s form: integer numerators over
+    their least common denominator."""
+    point = oracles.solve_unique([(row[:-1], row[-1]) for row in rows], dim)
+    if point is None:
+        return None
+    den = lcm(*(x.denominator for x in point))
+    return tuple(int(x * den) for x in point), den
+
+
+def _core_results(instances):
+    out = []
+    for fs, ps, sp in instances:
+        out.append(decide_destabilizing(fs, ps, sp, "semi"))
+        out.append(decide_destabilizing(fs, ps, sp, "stable"))
+        out.append(region_minima(fs, ps, sp))
+        out.append(check_splitting(fs, ps))
+    return out
+
+
+def test_core_results_match_through_the_oracle_kernel(monkeypatch):
+    """Decide, `--trace` and splitting give the same results when every tight
+    system of their LP is solved by the Fraction oracle instead."""
+    rng = random.Random(4242)
+    instances = [level_set_instance(rng, "hilbert" if k % 3 == 2 else "slope") for k in range(40)]
+    assert {fs.s for fs, _, _ in instances} == {1, 2, 3, 4}
+    fast = _core_results(instances)
+    assert len({r.classification for r in fast[::4]}) == 4  # every verdict class occurs
+    calls = []
+
+    def kernel(rows, dim):
+        calls.append(dim)
+        return _oracle_kernel(rows, dim)
+
+    monkeypatch.setattr(destab.polytope, "solve_unique", kernel)
+    assert _core_results(instances) == fast
+    assert len(calls) >= 4 * len(instances)  # every result went through the oracle
