@@ -3,14 +3,15 @@ arithmetic.
 
 `simplex` minimizes integer cost rows, ordered lexicographically, over
 equality rows and a feasible basis by the primal simplex method with Bland's
-rule and names the variables that vanish on every optimum; `optimal_face`
-reads the vertices of that optimal face off its final rows.  With zero costs
-the optimal face is the whole feasible set, so one LP answers every vertex
-question.  Every vertex turns `need` inequalities tight, one per free
-variable, and `solve_unique` solves each such square system.  `_eliminate` is
-the one elimination step, and keeps rows integral and primitive (no
-fractions); points are integer numerators over a common denominator until
-returned as `Fraction`s.  Intended scale is at most ~12 variables.
+rule and names the variables that vanish on every optimum;
+`enumerate_vertices` reads the vertices of that optimal face off its final
+rows.  With zero costs the optimal face is the whole feasible set, so one LP
+answers every vertex question.  Every vertex turns `need` inequalities tight,
+one per free variable, and `solve_unique` solves each such square system.
+`_eliminate` is the one elimination step, and keeps rows integral and
+primitive (no fractions); points are integer numerators over a common
+denominator until returned as `Fraction`s.  Intended scale is at most ~12
+variables.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def simplex(tableau: list[IntRow], basis: list[int], costs: Sequence[Sequence[in
     lexicographically (one row is an ordinary objective).  The columns returned
     are exactly the variables that vanish on every optimum (complementary
     slackness): the optimal face is the feasible set with them fixed at zero,
-    and `optimal_face` lists its vertices from the rows left behind.
+    and `enumerate_vertices` lists its vertices from the rows left behind.
     The tableau rows are equalities as written, right-hand side last, and the
     basic solution of `basis` is feasible; row k's entry in column basis[k] must
     be nonzero once the columns basis[:k] are cleared.  The cost rows, with no
@@ -111,22 +112,25 @@ def simplex(tableau: list[IntRow], basis: list[int], costs: Sequence[Sequence[in
         basis[leave] = enter
 
 
-def optimal_face(
-    tableau: Sequence[IntRow], basis: Sequence[int], zero: Iterable[int]
+def enumerate_vertices(
+    tableau: list[IntRow], basis: Sequence[int], zero: Iterable[int], implied: Sequence[int] = ()
 ) -> list[tuple[Fraction, ...]]:
-    """Sorted vertices of the optimal face {x >= 0 : rows hold, x_zero = 0}
-    from the final `tableau` and `basis` of `simplex` and the `zero` columns it
-    returned.  Over the free columns F (nonbasic, not in `zero`) a row reads
-    row[b] * x_b + row[F] . x_F = rhs with row[b] > 0, so the face is x_F >= 0
-    and -row[F] . x_F >= -rhs: no elimination.  Each vertex turns need = |F|
-    of those inequalities tight; a point face has need = 0.  Refuses with
-    `InstanceError` when the tight subsets to try, C(len(ineqs), need), exceed
-    `guard_limit(1_000_000)`."""
+    """Sorted vertices of the face {x >= 0 : rows hold, x_zero = 0} from the
+    final `tableau` and `basis` of `simplex` and the `zero` columns it returned,
+    that is, of the optimal face.  Over the free columns F (nonbasic, not in
+    `zero`) a row reads row[b] * x_b + row[F] . x_F = rhs with row[b] > 0, so
+    the face is x_F >= 0 and -row[F] . x_F >= -rhs: no elimination.  The
+    columns in `implied` have a sign bound that the other bounds and the rows
+    already imply; it is left out, which keeps the vertices and shrinks the
+    search.  Each vertex turns need = |F| of the inequalities tight; a point
+    face has need = 0.  Refuses with `InstanceError` when the tight subsets to
+    try, C(len(ineqs), need), exceed `guard_limit(1_000_000)`."""
     dim = len(tableau[0]) - 1
     fixed = {*basis, *zero}
     free = [c for c in range(dim) if c not in fixed]
-    ineqs = [[int(c == f) for c in free] + [0] for f in free]
-    ineqs += [_primitive([-row[c] for c in free] + [-row[dim]]) for row in tableau]
+    ineqs = [[int(c == f) for c in free] + [0] for f in free if f not in implied]
+    bounded = [row for b, row in zip(basis, tableau) if b not in implied]
+    ineqs += [_primitive([-row[c] for c in free] + [-row[dim]]) for row in bounded]
     need = len(free)
     count, limit = comb(len(ineqs), need), guard_limit(1_000_000)
     if count > limit:

@@ -34,7 +34,7 @@ from .model import (
 )
 from .pivots import PivotSet, Tuple_, matrix_from_pivots, project_pivots
 from .poly import UniPoly
-from .polytope import IntRow, optimal_face, simplex
+from .polytope import IntRow, enumerate_vertices, simplex
 
 Value = Union[Fraction, UniPoly]
 Weights = tuple[Fraction, ...]
@@ -227,9 +227,10 @@ def _lp_costs(cs: Sequence[Value], rdelta: Value, npiv: int) -> list[list[int]]:
 
 def _face(costs: list[list[int]], gs: Sequence[Tuple_], s: int) -> list[tuple[Fraction, ...]]:
     """Sorted vertices (w, z, slacks) of the epigraph's face where the cost
-    rows are least: one LP from the basis `_start` picks."""
+    rows are least: one LP from the basis `_start` picks.  z >= g_p . w >= 0
+    holds on the whole epigraph, so z's own bound is left out of the search."""
     tableau, basis = _start(costs, gs, s)
-    return optimal_face(tableau, basis, simplex(tableau, basis, costs))
+    return enumerate_vertices(tableau, basis, simplex(tableau, basis, costs), implied=(s,))
 
 
 def region_minima(

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import destab.polytope
-from destab.polytope import optimal_face, simplex
+from destab.polytope import enumerate_vertices, simplex
 from destab import (
     FiltrationSpec,
     PivotSet,
@@ -103,7 +103,7 @@ def _lp_face(fs, ps, sp):
     costs = _lp_costs(constants(fs, sp), fs.total.rank * sp.delta, len(gs))
     tableau, basis = _start(costs, gs, fs.s)
     zero = simplex(tableau, basis, costs)
-    return gs, zero, optimal_face(tableau, basis, zero)
+    return gs, zero, enumerate_vertices(tableau, basis, zero, implied=(fs.s,))
 
 
 def _oracle_face(gs, s, zero):
@@ -166,13 +166,15 @@ def test_optimal_face_does_not_depend_on_the_start(gate_instances):
                 k0 = next(k for k, g in enumerate(gs) if g[i] == top)
                 tableau = _epigraph(gs, s)
                 basis = [i] + [s if k == k0 else s + 1 + k for k in range(len(gs))]
-                assert optimal_face(tableau, basis, simplex(tableau, basis, costs)) == face
+                zero = simplex(tableau, basis, costs)
+                assert enumerate_vertices(tableau, basis, zero, implied=(s,)) == face
+                assert enumerate_vertices(tableau, basis, zero) == face  # z >= 0 adds nothing
 
 
 def test_optimal_face_counts_a_vertex_once_whatever_its_rows_scale():
     # Canonical rows x0 + 2 x1 = 2 and x1 + x2 = 1 over the basis x0, x2: in the
     # free column x1 they read -2 x1 >= -2 and -x1 >= -1, tight at the same end.
-    face = optimal_face([[1, 2, 0, 2], [0, 1, 1, 1]], [0, 2], [])
+    face = enumerate_vertices([[1, 2, 0, 2], [0, 1, 1, 1]], [0, 2], [])
     assert face == [(F(0), F(1), F(0)), (F(2), F(0), F(1))]
 
 
@@ -204,7 +206,7 @@ def test_simplex_starts_from_rows_as_written():
         assert simplex(tableau, basis, [[1, 2, 0, 0]]) == [1, 3]
         assert basis == [0, 2]
         # The final rows are left in the tableau, and the face is read off them.
-        assert optimal_face(tableau, basis, [1, 3]) == [(F(1, 2), F(0), F(1, 2), F(0))]
+        assert enumerate_vertices(tableau, basis, [1, 3]) == [(F(1, 2), F(0), F(1, 2), F(0))]
 
 
 def test_marginal_witness_is_the_centroid_of_the_last_positive_region():
@@ -239,10 +241,10 @@ def test_decide_at_s6_p10_solves_few_tight_systems(monkeypatch):
 def test_enumeration_guard_refuses_with_exit_2(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("DESTAB_GUARD", "2")
     fs, ps, sp = rank6()
-    with pytest.raises(InstanceError, match=r"vertex enumeration too large: 35 tight subsets"):
-        region_minima(fs, ps, sp)  # C(7, 3): three free weights, the LP's four rows
+    with pytest.raises(InstanceError, match=r"vertex enumeration too large: 20 tight subsets"):
+        region_minima(fs, ps, sp)  # C(6, 3): three weights, three bounds, three pivots
     one_pivot = PivotSet.from_tuples([(2, 2, 3, 4)], t=4, arity=4)
-    with pytest.raises(InstanceError, match=r"\(C\(4, 2\)\) > 2"):
+    with pytest.raises(InstanceError, match=r"\(C\(3, 2\)\) > 2"):
         check_splitting(fs, one_pivot)
     assert decide_destabilizing(fs, ps, sp).min_value == F(-4, 3)  # a 0-dimensional face
 

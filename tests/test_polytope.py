@@ -77,36 +77,38 @@ def test_random_systems_match_the_oracle():
     assert {("duplicate", False), ("rescaled", False), ("dependent", False)} <= kinds
 
 
+EDGE_CASES = [
+    # dim 1: 3x = 1
+    ([make_row([3], 1)], 1, [(F(1, 3),)]),
+    # dim 1: a fractional row
+    ([make_row([F(2, 3)], F(1, 2))], 1, [(F(3, 4),)]),
+    # parallel, inconsistent rows: singular
+    ([make_row([1, 1], 1), make_row([2, 2], 3)], 2, []),
+    # a rescaled copy of a row: singular
+    ([make_row([1, 1], 1), make_row([F(1, 2), F(1, 2)], F(1, 2))], 2, []),
+    # the point where x + y = 1 meets x = y
+    ([make_row([1, 1], 1), make_row([1, -1], 0)], 2, [(F(1, 2), F(1, 2))]),
+    # the first column's pivot is negative and sits in the second row
+    ([make_row([0, 3], 1), make_row([-2, 0], 1)], 2, [(F(-1, 2), F(1, 3))]),
+    # a vertex of the 2-simplex, one of its facets rescaled
+    (
+        [make_row([1, 1, 1], 1), make_row([F(1, 2), 0, 0], 0), make_row([0, 1, 0], 0)],
+        3,
+        [(0, 0, 1)],
+    ),
+    # no unknowns: the empty point, over denominator 1
+    ([], 0, [()]),
+]
+
+
+# The ids keep the names these cases have always been reported under.
 @pytest.mark.parametrize(
-    "eqs, ineqs, dim, expected",
-    [
-        # dim 1: one tight bound 3x >= 1
-        ([], [make_row([3], 1)], 1, [(F(1, 3),)]),
-        # dim 1: a fractional equality
-        ([make_row([F(2, 3)], F(1, 2))], [], 1, [(F(3, 4),)]),
-        # parallel, inconsistent rows: singular
-        ([make_row([1, 1], 1), make_row([2, 2], 3)], [], 2, []),
-        # a rescaled copy of a row: singular
-        ([make_row([1, 1], 1)], [make_row([F(1, 2), F(1, 2)], F(1, 2))], 2, []),
-        # the point where x + y = 1 meets x = y
-        ([make_row([1, 1], 1)], [make_row([1, -1], 0)], 2, [(F(1, 2), F(1, 2))]),
-        # the first column's pivot is negative and sits in the second row
-        ([make_row([0, 3], 1)], [make_row([-2, 0], 1)], 2, [(F(-1, 2), F(1, 3))]),
-        # a vertex of the 2-simplex, one of its facets rescaled
-        (
-            [make_row([1, 1, 1], 1)],
-            [make_row([F(1, 2), 0, 0], 0), make_row([0, 1, 0], 0)],
-            3,
-            [(0, 0, 1)],
-        ),
-        # no unknowns: the empty point, over denominator 1
-        ([], [], 0, [()]),
-    ],
+    "rows, dim, expected",
+    EDGE_CASES,
+    ids=[f"eqs{k}-ineqs{k}-{dim}-expected{k}" for k, (_, dim, _) in enumerate(EDGE_CASES)],
 )
-def test_edge_cases(eqs, ineqs, dim, expected):
-    """The point where the equalities hold and the inequalities are tight, as
-    a vertex of {eqs, ineqs >= rhs} is found; [] when it is not unique."""
-    rows = [*eqs, *ineqs]
+def test_edge_cases(rows, dim, expected):
+    """The unique solution of a square system, or [] when it is singular."""
     expected = [tuple(F(c) for c in v) for v in expected]
     assert [p for p in [_library(rows, dim)] if p is not None] == expected
     assert [p for p in [oracles.solve_unique(rows, dim)] if p is not None] == expected
