@@ -9,12 +9,9 @@ from .model import (
 )
 from .pivots import (
     PivotSet,
-    Rel,
     matrix_from_pivots,
     ordered_tuples,
-    pivots_from_matrix,
     project_pivots,
-    tuple_cmp,
 )
 from .poly import UniPoly, poly_cmp
 from .stability import (
@@ -29,7 +26,6 @@ from .stability import (
     mu_via_gamma,
     mu_via_pivots,
     objective,
-    prune_nonnegative,
     r_value,
     reduce_destabilizer,
 )
@@ -39,7 +35,6 @@ __all__ = [
     "FiltrationSpec",
     "InstanceError",
     "PivotSet",
-    "Rel",
     "SheafData",
     "StabilityParam",
     "UniPoly",
@@ -55,12 +50,9 @@ __all__ = [
     "mu_via_pivots",
     "objective",
     "ordered_tuples",
-    "pivots_from_matrix",
     "poly_cmp",
     "project_pivots",
-    "prune_nonnegative",
     "r_value",
     "reduce_destabilizer",
-    "tuple_cmp",
     "validate_filtration",
 ]

@@ -16,7 +16,6 @@ from typing import Any, Optional
 from . import combinatorics as comb
 from . import p1
 from .instances import (
-    frac_str,
     instance_json,
     parse_frac,
     parse_instance,
@@ -48,7 +47,7 @@ def _read_json(path: str) -> Any:
             return json.load(sys.stdin)
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InstanceError(f"cannot read instance {path!r}: {exc}") from exc
 
 
@@ -66,8 +65,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         value = objective(fs, ps, weights, sp)
         rmax, pivot = r_value(fs, ps, weights)
         report["value"] = value_json(value)
-        report["mu"] = frac_str(mu_via_pivots(fs, ps, weights))
-        report["r_max"] = frac_str(rmax)
+        report["mu"] = str(mu_via_pivots(fs, ps, weights))
+        report["r_max"] = str(rmax)
         report["attaining_pivot"] = list(pivot)
         violated = violates(value, args.strict)
     else:
@@ -81,7 +80,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             {
                 "pivot": list(p),
                 "vertices": [
-                    {"point": [frac_str(c) for c in v], "value": value_json(val)}
+                    {"point": [str(c) for c in v], "value": value_json(val)}
                     for v, val in vertices
                 ],
             }
@@ -99,7 +98,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         {
             "instance": instance_json(fs, ps, sp, None),
             "subset": list(subset),
-            "witness": [frac_str(w) for w in witness],
+            "witness": [str(w) for w in witness],
             "trace": [
                 {"subset": list(attempt), "violated": violated}
                 for attempt, violated in trace
@@ -173,7 +172,7 @@ def cmd_p1(args: argparse.Namespace) -> int:
             {
                 "degrees": list(tensor.degrees),
                 "support": [list(m) for m in sorted(tensor.support)],
-                "delta": frac_str(tensor.delta),
+                "delta": str(tensor.delta),
                 "semistable": verdict.semistable,
                 "flags": [
                     {"flag": [i, j], **verdict_json(v)} for i, j, v in verdict.flags
@@ -194,7 +193,7 @@ def cmd_p1(args: argparse.Namespace) -> int:
     rows = p1.classify(delta if delta is not None else Fraction(1), args.bound)
     _emit(
         {
-            "delta": frac_str(delta if delta is not None else Fraction(1)),
+            "delta": str(delta if delta is not None else Fraction(1)),
             "bound": args.bound,
             "rows": [
                 {

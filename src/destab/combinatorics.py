@@ -10,7 +10,6 @@ counts as polynomial coefficients, computed here by an independent route
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .model import guard_limit
@@ -51,14 +50,11 @@ def f_atx(a: int, t: int, x: int) -> int:
 
 
 def maxp(a: int, t: int) -> int:
-    """Largest possible number of maximal elements of a subset of ordered tuples."""
-    if a < 1 or t < 1:
-        raise ValueError("a and t must be >= 1")
-    if a == 1:
-        return 1
-    if a == 2:
-        return (t + 1) // 2
-    return max(f_atx(a, t, x) for x in range(a, a * t + 1))
+    """Largest possible number of maximal elements of a subset of ordered tuples.
+
+    f(a, t, .) is the coefficient list of a Gaussian binomial, which is symmetric
+    and unimodal (Sylvester), so its middle level is a largest antichain."""
+    return f_atx(a, t, a * (t + 1) // 2)
 
 
 def brute_maxp(a: int, t: int) -> int:
@@ -155,20 +151,6 @@ def verify_pascal(a: int, t: int, x: int) -> bool:
     if a < 2 or t < 2:
         raise ValueError("recurrence needs a >= 2 and t >= 2")
     return f_atx(a, t, x) == f_atx(a, t - 1, x) + f_atx(a - 1, t, x - t)
-
-
-@dataclass(frozen=True)
-class LevelSet:
-    a: int
-    t: int
-    x: int
-    tuples: tuple[Tuple_, ...]
-
-
-def level_set(a: int, t: int, x: int) -> LevelSet:
-    """All ordered tuples with the given entry sum; an antichain of size f(a,t,x)."""
-    members = tuple(tup for tup in ordered_tuples(a, t) if sum(tup) == x)
-    return LevelSet(a=a, t=t, x=x, tuples=members)
 
 
 def sum_check(a: int, t: int) -> bool:

@@ -18,17 +18,16 @@ Weights = tuple[Fraction, ...]
 
 
 def parse_frac(text: Any, path: str) -> Fraction:
-    """A rational string or a JSON integer; errors name the value's JSON path."""
+    """A rational string or a JSON integer, with no exponent; errors name the
+    value's JSON path."""
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise InstanceError(f"{path}: expected a rational string, got {text!r}")
+    if isinstance(text, str) and ("e" in text or "E" in text):  # Fraction would compute 10**exp
+        raise InstanceError(f"{path}: invalid rational {text!r}: exponents are not accepted")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InstanceError(f"{path}: invalid rational {text!r}: {exc}") from exc
-
-
-def frac_str(value: Fraction) -> str:
-    return str(value)
 
 
 def parse_poly(coeffs: Any, path: str) -> UniPoly:
@@ -39,13 +38,13 @@ def parse_poly(coeffs: Any, path: str) -> UniPoly:
 
 
 def poly_list(poly: UniPoly) -> list[str]:
-    return [frac_str(c) for c in poly.coeffs]
+    return [str(c) for c in poly.coeffs]
 
 
 def value_json(value: Value) -> Any:
     if isinstance(value, UniPoly):
         return poly_list(value)
-    return frac_str(value)
+    return str(value)
 
 
 def parse_int(value: Any, path: str) -> int:
@@ -130,14 +129,14 @@ def instance_json(
         "pivots": [list(p) for p in ps.pivots],
     }
     if weights is not None:
-        out["weights"] = [frac_str(w) for w in weights]
+        out["weights"] = [str(w) for w in weights]
     return out
 
 
 def verdict_json(verdict: CheckVerdict) -> dict:
     out: dict[str, Any] = {
         "min_value": value_json(verdict.min_value),
-        "witness": [frac_str(w) for w in verdict.witness],
+        "witness": [str(w) for w in verdict.witness],
         "attaining_pivot": list(verdict.attaining_pivot),
         "classification": verdict.classification,
         "violated": verdict.violated,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 from .model import FiltrationSpec, InstanceError, SheafData, StabilityParam
-from .pivots import PivotSet, Tuple_, tuple_cmp, Rel, ordered_tuples
+from .pivots import PivotSet, Tuple_, dominated, ordered_tuples
 from .stability import CheckVerdict, check_k_semistable, decide_destabilizing
 
 ARITY = 3
@@ -132,7 +132,7 @@ def enumerate_two_pivot_matrices() -> list[tuple[Tuple_, Tuple_]]:
     return [
         (p, q)
         for p, q in combinations(tuples, 2)
-        if tuple_cmp(p, q) is Rel.INCOMPARABLE
+        if not dominated(p, q) and not dominated(q, p)
     ]
 
 

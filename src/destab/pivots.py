@@ -10,37 +10,15 @@ is determined by its maximal 1-entries, the pivots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 Tuple_ = tuple[int, ...]
-
-
-class Rel(Enum):
-    BELOW = "below"  # first tuple is below the second
-    ABOVE = "above"  # second tuple is below the first
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
 
 
 def dominated(i: Tuple_, j: Tuple_) -> bool:
     """True when i is below j, i.e. every coordinate of i is >= that of j."""
     return all(a >= b for a, b in zip(i, j))
-
-
-def tuple_cmp(i: Tuple_, j: Tuple_) -> Rel:
-    if len(i) != len(j):
-        raise ValueError(f"arity mismatch: {len(i)} vs {len(j)}")
-    if i == j:
-        return Rel.EQUAL
-    below = dominated(i, j)
-    above = dominated(j, i)
-    if below:
-        return Rel.BELOW
-    if above:
-        return Rel.ABOVE
-    return Rel.INCOMPARABLE
 
 
 def ordered_tuples(arity: int, t: int) -> Iterator[Tuple_]:
@@ -73,12 +51,10 @@ class PivotSet:
 
     @staticmethod
     def from_tuples(raw: Iterable[Tuple_], t: int, arity: int) -> "PivotSet":
-        """Keep only the maximal tuples; errors on empty input, and name an
-        invalid maximal tuple by its place in `raw`, as pivots[k]."""
+        """Keep only the maximal tuples, and name an invalid maximal tuple by its
+        place in `raw`, as pivots[k]; empty input fails in __post_init__."""
         given = [tuple(p) for p in raw]
         tuples = set(given)
-        if not tuples:
-            raise ValueError("pivot set must be nonempty")
         maximal = {p for p in tuples if not any(q != p and dominated(p, q) for q in tuples)}
         for k, p in enumerate(given):
             if p in maximal:
@@ -95,24 +71,6 @@ def matrix_from_pivots(ps: PivotSet) -> dict[Tuple_, int]:
         tup: int(any(dominated(tup, p) for p in ps.pivots))
         for tup in ordered_tuples(ps.arity, ps.t)
     }
-
-
-def pivots_from_matrix(table: Mapping[Tuple_, int]) -> PivotSet:
-    """Maximal 1-entries of a downward-closed table; inverse of matrix_from_pivots."""
-    keys = list(table)
-    if not keys:
-        raise ValueError("empty table")
-    arity = len(keys[0])
-    t = max(max(k) for k in keys)
-    ones = [k for k in keys if table[k]]
-    if not ones:
-        raise ValueError("all-zero table: the morphism may not vanish identically")
-    for k in keys:
-        if table[k]:
-            continue
-        if any(dominated(k, o) for o in ones):
-            raise ValueError(f"table is not downward closed at {k}")
-    return PivotSet.from_tuples(ones, t=t, arity=arity)
 
 
 def project_pivots(ps: PivotSet, keep: Iterable[int]) -> PivotSet:

@@ -35,24 +35,12 @@ class UniPoly:
         return UniPoly(_trim(tuple(Fraction(c) for c in coeffs)))
 
     @staticmethod
-    def zero() -> "UniPoly":
-        return UniPoly(())
-
-    @staticmethod
     def constant(c: Scalar) -> "UniPoly":
         return UniPoly.from_coeffs([c])
 
     @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
     def leading(self) -> Fraction:
         return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __add__(self, other: Union["UniPoly", Scalar]) -> "UniPoly":
         if not isinstance(other, UniPoly):
@@ -86,12 +74,6 @@ class UniPoly:
 
     def __gt__(self, other: Union["UniPoly", Scalar]) -> bool:
         return poly_cmp(self, other) > 0
-
-    def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 def poly_cmp(p: UniPoly, q: Union[UniPoly, Scalar]) -> int:

@@ -361,15 +361,3 @@ def check_splitting(
         return False, None
     return True, face[0][:s]
 
-
-def prune_nonnegative(
-    fs: FiltrationSpec, ps: PivotSet, sp: StabilityParam
-) -> tuple[FiltrationSpec, PivotSet, list[Value]]:
-    """Drop every step whose constant is nonnegative; never raises the value.
-
-    May return a filtration with no steps when everything prunes away.
-    """
-    cs = constants(fs, sp)
-    _check_instance(fs, ps)
-    keep = [lvl for lvl, c in enumerate(cs, start=1) if c < 0]
-    return fs.substeps(keep), project_pivots(ps, keep), cs

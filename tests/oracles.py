@@ -22,7 +22,7 @@ from itertools import combinations, permutations
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from destab.pivots import PivotSet, Tuple_, ordered_tuples, pivots_from_matrix
+from destab.pivots import PivotSet, Tuple_, ordered_tuples
 from destab.stability import (
     BOUNDARY_WITNESS,
     MARGINALLY_DESTABILIZED,
@@ -201,4 +201,4 @@ def flag_pivots(tensor, i: int, j: int) -> PivotSet:
                     return 1
         return 0
 
-    return pivots_from_matrix({tup: entry(tup) for tup in ordered_tuples(3, 3)})
+    return PivotSet.from_tuples([tup for tup in ordered_tuples(3, 3) if entry(tup)], t=3, arity=3)

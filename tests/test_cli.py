@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,22 @@ def test_check_rejects_malformed_input(tmp_path, capsys):
 
     code, _, err = run(capsys, ["check", str(tmp_path / "missing.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["check"], ["reduce"], ["p1", "check"]])
+@pytest.mark.parametrize("stdin", [False, True])
+def test_deeply_nested_json_is_malformed_input(tmp_path, capsys, monkeypatch, argv, stdin):
+    text = "[" * 100_000 + "]" * 100_000
+    if stdin:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        source = "-"
+    else:
+        source = str(tmp_path / "deep.json")
+        (tmp_path / "deep.json").write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, [*argv, source])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read instance {source!r}: maximum recursion depth")
+    assert err.count("\n") == 1
 
 
 def test_reduce_rank6_keeps_all_steps(tmp_path, capsys):
@@ -312,15 +329,43 @@ def test_p1_non_integer_fields_are_rejected_by_path(tmp_path, capsys, tensor, pa
             "total.hilbert[1]",
             "expected a rational string, got True",
         ),
+        # Fraction would compute 10**exp first, for seconds or minutes.
+        (
+            dict(RANK6_INSTANCE, delta="1e10000000"),
+            "delta",
+            "invalid rational '1e10000000': exponents are not accepted\n",
+        ),
+        (
+            dict(RANK6_INSTANCE, weights=["1", "2E999999", "1"]),
+            "weights[1]",
+            "invalid rational '2E999999': exponents are not accepted\n",
+        ),
+        (
+            _hilbert(PASSING_INSTANCE, ["0", "2"], ["-5", "1e3"], ["1"]),
+            "steps[0].hilbert[1]",
+            "invalid rational '1e3': exponents are not accepted\n",
+        ),
+        (
+            _hilbert(PASSING_INSTANCE, ["0", "2"], ["-5", "1"], ["1.5e-9"]),
+            "delta[0]",
+            "invalid rational '1.5e-9': exponents are not accepted\n",
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["check", "reduce"])
 def test_rational_and_polynomial_fields_are_rejected_by_path(
     tmp_path, capsys, instance, path, message, command
 ):
+    start = time.perf_counter()
     code, out, err = run(capsys, [command, write_json(tmp_path, instance)])
+    assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}: {message}")
+
+
+def test_decimal_rationals_stay_accepted(tmp_path, capsys):
+    code, out, _ = run(capsys, ["check", write_json(tmp_path, dict(PASSING_INSTANCE, delta="1.5"))])
+    assert code == 0 and json.loads(out)["instance"]["delta"] == "3/2"
 
 
 def _tensor(degrees, support, **extra):
@@ -357,6 +402,16 @@ def test_p1_delta_errors_name_their_source(tmp_path, capsys):
     tensor = {"degrees": [0, 0, 0], "support": [[1, 2, 3]]}
     code, _, err = run(capsys, ["p1", "check", write_json(tmp_path, tensor), "--delta", "1/0"])
     assert code == 2 and err.startswith("error: --delta: invalid rational '1/0'")
+    for argv, source in (
+        (["check", write_json(tmp_path, dict(tensor, delta="1e10000000"), "exp.json")], "delta"),
+        (["check", write_json(tmp_path, tensor), "--delta", "1e10000000"], "--delta"),
+        (["classify", "--delta", "1e10000000"], "--delta"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["p1", *argv])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == f"error: {source}: invalid rational '1e10000000': exponents are not accepted\n"
     code, _, err = run(capsys, ["p1", "check", write_json(tmp_path, dict(tensor, delta=0.5))])
     assert code == 2 and err.startswith("error: delta: expected a rational string, got 0.5")
     for argv in (["check", write_json(tmp_path, tensor)], ["classify"]):

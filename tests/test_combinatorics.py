@@ -6,14 +6,13 @@ from destab.combinatorics import (
     brute_maxp,
     f_atx,
     gaussian_binomial,
-    level_set,
     maxp,
     partition_count,
     sum_check,
     verify_pascal,
     verify_q_identity,
 )
-from destab.pivots import dominated
+from destab.pivots import dominated, ordered_tuples
 
 
 def brute_bounded_partitions(a: int, t: int, x: int) -> int:
@@ -63,6 +62,10 @@ def test_f_rejects_bad_arguments():
 def test_maxp_small_closed_forms():
     assert all(maxp(1, t) == 1 for t in range(1, 10))
     assert [maxp(2, t) for t in range(1, 8)] == [1, 1, 2, 2, 3, 3, 4]
+    # The middle level is the largest: the sweep over every level agrees.
+    for a in range(1, 9):
+        for t in range(1, 41):
+            assert maxp(a, t) == max(f_atx(a, t, x) for x in range(a, a * t + 1))
 
 
 def test_maxp_equals_exhaustive_search():
@@ -117,9 +120,9 @@ def test_level_sets_are_antichains_of_the_right_size():
     for a in range(1, 5):
         for t in range(1, 5):
             for x in range(a, a * t + 1):
-                ls = level_set(a, t, x)
-                assert len(ls.tuples) == f_atx(a, t, x)
-                for p, q in combinations(ls.tuples, 2):
+                level = [tup for tup in ordered_tuples(a, t) if sum(tup) == x]
+                assert len(level) == f_atx(a, t, x)
+                for p, q in combinations(level, 2):
                     assert not dominated(p, q) and not dominated(q, p)
 
 

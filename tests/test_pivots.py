@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from destab.pivots import (
     PivotSet,
-    Rel,
     dominated,
     matrix_from_pivots,
     ordered_tuples,
-    pivots_from_matrix,
     project_pivots,
-    tuple_cmp,
 )
 from util import random_pivots
 
@@ -35,26 +32,6 @@ def test_order_is_reflexive_antisymmetric_transitive():
                 for r in tuples:
                     if dominated(p, q) and dominated(q, r):
                         assert dominated(p, r)
-
-
-def test_tuple_cmp_matches_domination():
-    for _, _, tuples in small_posets():
-        for p in tuples:
-            for q in tuples:
-                rel = tuple_cmp(p, q)
-                if p == q:
-                    assert rel is Rel.EQUAL
-                elif dominated(p, q):
-                    assert rel is Rel.BELOW
-                elif dominated(q, p):
-                    assert rel is Rel.ABOVE
-                else:
-                    assert rel is Rel.INCOMPARABLE
-
-
-def test_tuple_cmp_arity_mismatch():
-    with pytest.raises(ValueError):
-        tuple_cmp((1, 2), (1, 2, 3))
 
 
 def test_ordered_tuples_are_sorted_and_counted():
@@ -90,21 +67,13 @@ def test_matrix_round_trip_random():
         t = rng.randint(2, 5)
         ps = random_pivots(rng, a, t)
         table = matrix_from_pivots(ps)
-        assert pivots_from_matrix(table) == ps
+        assert PivotSet.from_tuples([tup for tup, one in table.items() if one], t=t, arity=a) == ps
         # Downward closure: a 1-entry stays 1 under coordinatewise increase.
         for tup, one in table.items():
             if one:
                 for q in ordered_tuples(a, t):
                     if dominated(q, tup):
                         assert table[q] == 1
-
-
-def test_pivots_from_matrix_rejects_bad_tables():
-    with pytest.raises(ValueError):
-        pivots_from_matrix({(1,): 0, (2,): 0})  # all zero
-    with pytest.raises(ValueError):
-        # (2,) lies below (1,), so a 1 at (1,) forces a 1 at (2,).
-        pivots_from_matrix({(1,): 1, (2,): 0})
 
 
 def test_project_identity():

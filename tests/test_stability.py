@@ -23,7 +23,6 @@ from destab import (
     mu_via_gamma,
     mu_via_pivots,
     objective,
-    prune_nonnegative,
     project_pivots,
     r_value,
     reduce_destabilizer,
@@ -436,22 +435,6 @@ def test_check_splitting_consistency_random():
                 assert len(sums) > 1
 
 
-def test_prune_sign_rule():
-    fs, sp = simple([1, 2, 3], [2, -9, 5], 6, 0, arity=3)
-    cs = constants(fs, sp)
-    ps = PivotSet.from_tuples([(1, 2, 4)], t=4, arity=3)
-    pruned_fs, pruned_ps, proof = prune_nonnegative(fs, ps, sp)
-    assert proof == cs
-    kept = [lvl for lvl, c in enumerate(cs, start=1) if c < 0]
-    assert pruned_fs.ranks == tuple(fs.ranks[lvl - 1] for lvl in kept)
-
-
-def test_prune_rank6_unchanged():
-    fs, ps, sp = rank6()
-    pruned_fs, pruned_ps, _ = prune_nonnegative(fs, ps, sp)
-    assert pruned_fs == fs and pruned_ps == ps
-
-
 def test_prune_never_raises_the_value():
     rng = random.Random(101)
     checked = 0
@@ -459,8 +442,8 @@ def test_prune_never_raises_the_value():
         fs = random_filtration(rng)
         ps = random_pivots(rng, fs.arity, fs.t)
         sp = StabilityParam.slope(F(rng.randint(1, 4), rng.randint(1, 3)))
-        pruned_fs, pruned_ps, cs = prune_nonnegative(fs, ps, sp)
-        kept = [lvl for lvl, c in enumerate(cs, start=1) if c < 0]
+        kept = [lvl for lvl, c in enumerate(constants(fs, sp), start=1) if c < 0]
+        pruned_fs, pruned_ps = fs.substeps(kept), project_pivots(ps, kept)
         for _ in range(20):
             w = random_weights(rng, fs.s)
             full = objective(fs, ps, w, sp)

@@ -6,7 +6,6 @@ import random
 from fractions import Fraction
 
 from destab import FiltrationSpec, PivotSet, SheafData, StabilityParam, UniPoly
-from destab.combinatorics import level_set
 from destab.pivots import ordered_tuples
 
 # A rank-6 bundle with three strictly destabilizing steps; the smallest known
@@ -94,7 +93,8 @@ def level_set_instance(rng: random.Random, mode: str, degree: int = 1):
     must keep those at weight 0, and the next row decides among the rest."""
     s, arity = rng.randint(1, 4), rng.randint(2, 3)
     middle = arity * (s + 2) // 2
-    tuples = level_set(arity, s + 1, rng.randint(middle - 1, middle + 1)).tuples
+    x = rng.randint(middle - 1, middle + 1)
+    tuples = [tup for tup in ordered_tuples(arity, s + 1) if sum(tup) == x]
     ps = PivotSet.from_tuples(rng.sample(tuples, min(4, len(tuples))), t=s + 1, arity=arity)
     r = rng.randint(s + 1, 7)
     m = rng.randint(-2, 2)
