@@ -23,7 +23,7 @@ from .instances import (
     value_json,
     verdict_json,
 )
-from .model import InstanceError, guard_limit
+from .model import InstanceError, clip, guard_limit
 from .stability import (
     check_k_semistable,
     decide_destabilizing,
@@ -47,7 +47,8 @@ def _read_json(path: str) -> Any:
             return json.load(sys.stdin)
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    # json.load raises ValueError on bad JSON and on an integer past Python's digit limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise InstanceError(f"cannot read instance {path!r}: {exc}") from exc
 
 
@@ -153,7 +154,7 @@ def cmd_comb(args: argparse.Namespace) -> int:
 
 def _parse_tensor(obj: Any, delta_override: Optional[Fraction]) -> p1.P1Tensor:
     if not isinstance(obj, dict):
-        raise InstanceError(f"tensor: expected an object, got {obj!r}")
+        raise InstanceError(f"tensor: expected an object, got {clip(repr(obj))}")
     degrees = parse_list(obj.get("degrees"), "degrees")
     support = parse_list(obj.get("support"), "support", parse_list)
     if delta_override is None:
@@ -164,7 +165,7 @@ def _parse_tensor(obj: Any, delta_override: Optional[Fraction]) -> p1.P1Tensor:
 def cmd_p1(args: argparse.Namespace) -> int:
     delta = parse_frac(args.delta, "--delta") if args.delta is not None else None
     if delta is not None and delta <= 0:
-        raise InstanceError(f"--delta: expected a positive rational, got {delta}")
+        raise InstanceError(f"--delta: expected a positive rational, got {clip(str(delta))}")
     if args.p1_cmd == "check":
         tensor = _parse_tensor(_read_json(args.tensor), delta)
         verdict = p1.is_semistable_p1(tensor, "stable" if args.strict else "semi")
@@ -186,7 +187,7 @@ def cmd_p1(args: argparse.Namespace) -> int:
         return EXIT_OK if verdict.semistable else EXIT_VIOLATED
     # classify
     if args.bound < 0:
-        raise InstanceError(f"--bound: expected a nonnegative integer, got {args.bound}")
+        raise InstanceError(f"--bound: expected a nonnegative integer, got {clip(str(args.bound))}")
     count, limit = p1.tensor_count(args.bound), guard_limit(100_000)
     if count > limit:
         raise InstanceError(f"--bound: classify would decide {count} tensors > {limit}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
-from .model import FiltrationSpec, InstanceError, SheafData, StabilityParam
+from .model import FiltrationSpec, InstanceError, SheafData, StabilityParam, clip
 from .pivots import PivotSet
 from .poly import UniPoly
 from .stability import CheckVerdict, Value
@@ -21,19 +21,19 @@ def parse_frac(text: Any, path: str) -> Fraction:
     """A rational string or a JSON integer, with no exponent; errors name the
     value's JSON path."""
     if isinstance(text, bool) or not isinstance(text, (str, int)):
-        raise InstanceError(f"{path}: expected a rational string, got {text!r}")
+        raise InstanceError(f"{path}: expected a rational string, got {clip(repr(text))}")
     if isinstance(text, str) and ("e" in text or "E" in text):  # Fraction would compute 10**exp
-        raise InstanceError(f"{path}: invalid rational {text!r}: exponents are not accepted")
+        raise InstanceError(f"{path}: invalid rational {clip(repr(text))}: exponents are not accepted")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceError(f"{path}: invalid rational {text!r}: {exc}") from exc
+        raise InstanceError(f"{path}: invalid rational {clip(repr(text))}: {clip(str(exc))}") from exc
 
 
 def parse_poly(coeffs: Any, path: str) -> UniPoly:
     """A list of rational coefficients, constant term first."""
     if not isinstance(coeffs, list):
-        raise InstanceError(f"{path}: expected a coefficient list, got {coeffs!r}")
+        raise InstanceError(f"{path}: expected a coefficient list, got {clip(repr(coeffs))}")
     return UniPoly.from_coeffs(parse_frac(c, f"{path}[{k}]") for k, c in enumerate(coeffs))
 
 
@@ -50,14 +50,14 @@ def value_json(value: Value) -> Any:
 def parse_int(value: Any, path: str) -> int:
     """A JSON integer, never a boolean or a float; errors name the value's JSON path."""
     if type(value) is not int:  # a bool is an int subclass, so it fails too
-        raise InstanceError(f"{path}: expected an integer, got {value!r}")
+        raise InstanceError(f"{path}: expected an integer, got {clip(repr(value))}")
     return value
 
 
 def parse_list(value: Any, path: str, item: Callable[[Any, str], Any] = parse_int) -> tuple:
     """A JSON list with every entry read by `item` under its own JSON path."""
     if not isinstance(value, list):
-        raise InstanceError(f"{path}: expected a list, got {value!r}")
+        raise InstanceError(f"{path}: expected a list, got {clip(repr(value))}")
     return tuple(item(v, f"{path}[{k}]") for k, v in enumerate(value))
 
 
@@ -73,7 +73,7 @@ def _parse_sheaf(obj: Any, where: str) -> SheafData:
 def _parse_weight(value: Any, path: str) -> Fraction:
     weight = parse_frac(value, path)
     if weight <= 0:
-        raise InstanceError(f"{path}: expected a positive rational, got {value!r}")
+        raise InstanceError(f"{path}: expected a positive rational, got {clip(repr(value))}")
     return weight
 
 
@@ -85,7 +85,7 @@ def parse_instance(
         raise InstanceError("instance: expected an object")
     mode = obj.get("mode", "slope")
     if mode not in ("slope", "hilbert"):
-        raise InstanceError(f"mode: expected 'slope' or 'hilbert', got {mode!r}")
+        raise InstanceError(f"mode: expected 'slope' or 'hilbert', got {clip(repr(mode))}")
     arity = parse_int(obj.get("arity"), "arity")
     multiplicity = parse_int(obj.get("multiplicity", 1), "multiplicity")
     total = _parse_sheaf(obj.get("total"), "total")

@@ -14,6 +14,15 @@ class InstanceError(ValueError):
     """Raised when input data violates a structural invariant."""
 
 
+ECHO_LIMIT = 60
+
+
+def clip(text: str) -> str:
+    """An input value as an error message echoes it: cut after ECHO_LIMIT
+    characters and marked with '…', so one oversized value cannot flood the line."""
+    return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "…"
+
+
 def guard_limit(default: int) -> int:
     """Enumeration size guard; DESTAB_GUARD overrides the default."""
     value = os.environ.get("DESTAB_GUARD")
@@ -93,18 +102,20 @@ def validate_filtration(fs: FiltrationSpec) -> None:
     positive = {"arity": fs.arity, "multiplicity": fs.multiplicity, "total.rank": fs.total.rank}
     for path, value in positive.items():
         if value < 1:
-            raise InstanceError(f"{path}: expected a positive integer, got {value}")
+            raise InstanceError(f"{path}: expected a positive integer, got {clip(str(value))}")
     if not fs.steps:
         raise InstanceError("steps: expected at least one step, got []")
     prev = 0
     for k, st in enumerate(fs.steps):
         if st.rank <= prev:
-            raise InstanceError(f"steps[{k}].rank: expected a rank above {prev}, got {st.rank}")
+            raise InstanceError(
+                f"steps[{k}].rank: expected a rank above {clip(str(prev))}, got {clip(str(st.rank))}"
+            )
         prev = st.rank
     if prev >= fs.total.rank:
         raise InstanceError(
             f"steps[{fs.s - 1}].rank: expected a rank below the total rank "
-            f"{fs.total.rank}, got {prev}"
+            f"{clip(str(fs.total.rank))}, got {clip(str(prev))}"
         )
 
 

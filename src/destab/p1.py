@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
-from .model import FiltrationSpec, InstanceError, SheafData, StabilityParam
+from .model import FiltrationSpec, InstanceError, SheafData, StabilityParam, clip
 from .pivots import PivotSet, Tuple_, dominated, ordered_tuples
-from .stability import CheckVerdict, check_k_semistable, decide_destabilizing
+from .stability import CheckVerdict, _decide, violates
 
 ARITY = 3
 RANK = 3
@@ -42,19 +42,21 @@ def validate_p1(tensor: P1Tensor) -> None:
     """Check the tensor, raising on the first fault with its JSON path."""
     d = list(tensor.degrees)
     if len(d) != 3 or sum(d) != 0:
-        raise InstanceError(f"degrees: expected three integers summing to 0, got {d}")
+        raise InstanceError(f"degrees: expected three integers summing to 0, got {clip(str(d))}")
     if not (d[0] <= d[1] <= d[2]):
-        raise InstanceError(f"degrees: expected a nondecreasing order, got {d}")
+        raise InstanceError(f"degrees: expected a nondecreasing order, got {clip(str(d))}")
     if tensor.delta <= 0:
-        raise InstanceError(f"delta: expected a positive rational, got {tensor.delta}")
+        raise InstanceError(f"delta: expected a positive rational, got {clip(str(tensor.delta))}")
     if not tensor.support:
         raise InstanceError("support: expected a nonempty list, got []")
     for m in tensor.support:
         if len(m) != 3 or tuple(sorted(m)) != m or any(i not in (1, 2, 3) for i in m):
-            raise InstanceError(f"support: expected multisets of 3 indices in 1..3, got {list(m)}")
+            raise InstanceError(
+                f"support: expected multisets of 3 indices in 1..3, got {clip(str(list(m)))}"
+            )
         if sum(d[i - 1] for i in m) > 0:
             # else no nonzero map from the summands to the trivial bundle exists
-            raise InstanceError(f"support: expected degree sums <= 0, got {list(m)}")
+            raise InstanceError(f"support: expected degree sums <= 0, got {clip(str(list(m)))}")
 
 
 def flag_pivots(tensor: P1Tensor, i: int, j: int) -> PivotSet:
@@ -111,17 +113,34 @@ def is_semistable_p1(tensor: P1Tensor, strictness: str = "semi") -> P1Verdict:
     The tensor is (semi)stable when no flag's verdict is `violated`: every
     minimum >= 0 (semi), > 0 (stable).  The step conditions are only reported,
     as the minima imply them: the value at a vertex e_i of a flag's weight
-    segment is step i's condition.
+    segment is step i's condition, and each is read off its flag's decide.
     """
+    return _decide_flags(tensor, strictness, {})
+
+
+Decided = dict[tuple[FiltrationSpec, PivotSet], tuple[CheckVerdict, tuple[bool, ...]]]
+
+
+def _decide_flags(tensor: P1Tensor, strictness: str, decided: Decided) -> P1Verdict:
+    """`is_semistable_p1`, deciding each distinct (filtration, pivots) flag once
+    through `decided`, which holds only flags of the tensor's delta decided at
+    this strictness.  Step i's condition is `check_k_semistable`'s, taken from
+    the sign of the decide's cost key at the simplex vertex e_i."""
     validate_p1(tensor)
     sp = StabilityParam.slope(tensor.delta)
+    strict = strictness == "stable"
     flags = []
     steps = []
     for i, j in permutations((1, 2, 3), 2):
-        fs = _flag_filtration(tensor, i, j)
-        ps = flag_pivots(tensor, i, j)
-        flags.append((i, j, decide_destabilizing(fs, ps, sp, strictness)))
-        steps.append((i, j, tuple(check_k_semistable(fs, ps, sp, strictness == "stable"))))
+        flag = (_flag_filtration(tensor, i, j), flag_pivots(tensor, i, j))
+        if flag not in decided:
+            verdict, keys = _decide(*flag, sp, strictness)
+            decided[flag] = verdict, tuple(
+                not violates(next(filter(None, key), 0), strict) for key in keys
+            )
+        verdict, conds = decided[flag]
+        flags.append((i, j, verdict))
+        steps.append((i, j, conds))
     semistable = not any(v.violated for _, _, v in flags)
     return P1Verdict(semistable, tuple(flags), tuple(steps))
 
@@ -177,16 +196,18 @@ def tensor_count(degree_bound: int) -> int:
 
 
 def classify(delta=1, degree_bound: int = 0) -> list[ClassifiedTensor]:
-    """Decide every valid tensor with |smallest degree| up to the bound."""
+    """Decide every valid tensor with |smallest degree| up to the bound, each
+    distinct flag once."""
     if degree_bound < 0:
         raise InstanceError("degree bound must be nonnegative")
     rows = []
+    decided: Decided = {}
     for degrees in _degree_triples(degree_bound):
         admissible = _admissible_multisets(degrees)
         for n in range(1, len(admissible) + 1):
             for support in combinations(admissible, n):
                 tensor = P1Tensor.make(degrees, support, delta)
-                verdict = is_semistable_p1(tensor)
+                verdict = _decide_flags(tensor, "semi", decided)
                 singles, _ = k_values(tensor)
                 rows.append(
                     ClassifiedTensor(

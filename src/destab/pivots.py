@@ -9,16 +9,19 @@ is determined by its maximal 1-entries, the pivots.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
+
+from .model import clip
 
 Tuple_ = tuple[int, ...]
 
 
 def dominated(i: Tuple_, j: Tuple_) -> bool:
     """True when i is below j, i.e. every coordinate of i is >= that of j."""
-    return all(a >= b for a, b in zip(i, j))
+    return all(map(operator.ge, i, j))
 
 
 def ordered_tuples(arity: int, t: int) -> Iterator[Tuple_]:
@@ -28,11 +31,11 @@ def ordered_tuples(arity: int, t: int) -> Iterator[Tuple_]:
 
 def _check_tuple(tup: Tuple_, arity: int, t: int) -> None:
     if len(tup) != arity:
-        raise ValueError(f"tuple {tup} does not have arity {arity}")
+        raise ValueError(f"tuple {clip(str(tup))} does not have arity {arity}")
     if tup and not (1 <= min(tup) and max(tup) <= t):
-        raise ValueError(f"tuple {tup} has entries outside 1..{t}")
+        raise ValueError(f"tuple {clip(str(tup))} has entries outside 1..{t}")
     if list(tup) != sorted(tup):
-        raise ValueError(f"tuple {tup} is not nondecreasing")
+        raise ValueError(f"tuple {clip(str(tup))} is not nondecreasing")
 
 
 @dataclass(frozen=True)

@@ -201,15 +201,21 @@ def _epigraph(gs: Sequence[Tuple_], s: int) -> list[IntRow]:
     ]
 
 
-def _start(costs: list[list[int]], gs: Sequence[Tuple_], s: int) -> tuple[list[IntRow], list[int]]:
-    """The `_epigraph` rows as written and a feasible basis at the simplex
-    vertex e_i that the cost rows rank cheapest: w_i for the simplex row, z for
-    the row of the first pivot attaining max_p g_p[i], and its own slack for
-    every other pivot's row."""
+def _start(
+    costs: list[list[int]], gs: Sequence[Tuple_], s: int
+) -> tuple[list[IntRow], list[int], list[list[int]]]:
+    """The `_epigraph` rows as written, a feasible basis at the simplex vertex
+    e_i that the cost rows rank cheapest, and every vertex's cost key.  The
+    basis holds w_i for the simplex row, z for the row of the first pivot
+    attaining max_p g_p[i], and its own slack for every other pivot's row.  At
+    e_j, z = max_p g_p[j], which is `k_of_level(ps, j + 1)`, so key j lists the
+    cost rows' entries of c_j + r delta k_j: its first nonzero entry has the
+    sign of step j's length-one value."""
     tops = [max(g[i] for g in gs) for i in range(s)]
-    i = min(range(s), key=lambda j: [row[j] + row[s] * tops[j] for row in costs])
+    keys = [[row[j] + row[s] * tops[j] for row in costs] for j in range(s)]
+    i = min(range(s), key=keys.__getitem__)
     k0 = next(k for k, g in enumerate(gs) if g[i] == tops[i])
-    return _epigraph(gs, s), [i] + [s if k == k0 else s + 1 + k for k in range(len(gs))]
+    return _epigraph(gs, s), [i] + [s if k == k0 else s + 1 + k for k in range(len(gs))], keys
 
 
 def _lp_costs(cs: Sequence[Value], rdelta: Value, npiv: int) -> list[list[int]]:
@@ -225,12 +231,16 @@ def _lp_costs(cs: Sequence[Value], rdelta: Value, npiv: int) -> list[list[int]]:
     return [[x.numerator * (scale // x.denominator) for x in row] + [0] * npiv for row in rows]
 
 
-def _face(costs: list[list[int]], gs: Sequence[Tuple_], s: int) -> list[tuple[Fraction, ...]]:
+def _face(
+    costs: list[list[int]], gs: Sequence[Tuple_], s: int
+) -> tuple[list[tuple[Fraction, ...]], list[list[int]]]:
     """Sorted vertices (w, z, slacks) of the epigraph's face where the cost
-    rows are least: one LP from the basis `_start` picks.  z >= g_p . w >= 0
-    holds on the whole epigraph, so z's own bound is left out of the search."""
-    tableau, basis = _start(costs, gs, s)
-    return enumerate_vertices(tableau, basis, simplex(tableau, basis, costs), implied=(s,))
+    rows are least, with `_start`'s vertex keys: one LP from the basis `_start`
+    picks.  z >= g_p . w >= 0 holds on the whole epigraph, so z's own bound is
+    left out of the search."""
+    tableau, basis, keys = _start(costs, gs, s)
+    face = enumerate_vertices(tableau, basis, simplex(tableau, basis, costs), implied=(s,))
+    return face, keys
 
 
 def region_minima(
@@ -247,7 +257,7 @@ def region_minima(
     _check_instance(fs, ps)
     s, r = fs.s, fs.total.rank
     gs = _pivot_coeffs(ps, s)
-    vertices = _face([[0] * (s + 1 + len(gs))], list(gs.values()), s)
+    vertices, _ = _face([[0] * (s + 1 + len(gs))], list(gs.values()), s)
     value = {v: _value(sp, cs, r, v[:s], v[s]) for v in vertices}
     return [
         (p, [(v[:s], value[v]) for v in vertices if v[s + 1 + k] == 0]) for k, p in enumerate(gs)
@@ -281,6 +291,15 @@ def decide_destabilizing(
     on a face: the face then holds a strictly positive point); the witness is
     then the centroid of the last such region in pivot order.
     """
+    return _decide(fs, ps, sp, strictness)[0]
+
+
+def _decide(
+    fs: FiltrationSpec, ps: PivotSet, sp: StabilityParam, strictness: str
+) -> tuple[CheckVerdict, list[list[int]]]:
+    """`decide_destabilizing`'s verdict and `_start`'s vertex keys: step i's
+    `check_k_semistable` condition is `not violates(x, strict)` for the first
+    nonzero entry x of key i - 1 (0 if there is none)."""
     if strictness not in ("semi", "stable"):
         raise InstanceError(f"unknown strictness {strictness!r}")
     cs = constants(fs, sp)
@@ -288,7 +307,7 @@ def decide_destabilizing(
     s = fs.s
     gs = _pivot_coeffs(ps, s)
     costs = _lp_costs(cs, fs.total.rank * sp.delta, len(gs))
-    face = _face(costs, list(gs.values()), s)
+    face, keys = _face(costs, list(gs.values()), s)
     regions = [(p, [v for v in face if v[s + 1 + k] == 0]) for k, p in enumerate(gs)]
     regions = [(p, vs) for p, vs in regions if vs]
 
@@ -308,7 +327,8 @@ def decide_destabilizing(
         if classification == BOUNDARY_WITNESS:
             boundary = tuple(i + 1 for i, c in enumerate(witness) if c > 0)
     violated = violates(min_value, strictness == "stable")
-    return CheckVerdict(min_value, witness, regions[0][0], classification, violated, boundary)
+    verdict = CheckVerdict(min_value, witness, regions[0][0], classification, violated, boundary)
+    return verdict, keys
 
 
 def reduce_destabilizer(
@@ -356,7 +376,7 @@ def check_splitting(
     gs = list(_pivot_coeffs(ps, s).values())
     # All pivot sums are equal where every slack z - g_p . w is zero: when the
     # least total slack is 0, the optimal face is that polytope.
-    face = _face([[0] * (s + 1) + [1] * len(gs)], gs, s)
+    face, _ = _face([[0] * (s + 1) + [1] * len(gs)], gs, s)
     if any(face[0][s + 1 :]):
         return False, None
     return True, face[0][:s]

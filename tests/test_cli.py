@@ -1,6 +1,8 @@
 import contextlib
 import io
+import hashlib
 import json
+import sys
 import time
 
 import pytest
@@ -110,6 +112,45 @@ def test_deeply_nested_json_is_malformed_input(tmp_path, capsys, monkeypatch, ar
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot read instance {source!r}: maximum recursion depth")
     assert err.count("\n") == 1
+
+
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="this Python converts integers of any length")
+@pytest.mark.parametrize("argv", [["check"], ["reduce"], ["p1", "check"]])
+def test_json_integer_beyond_the_digit_limit_is_malformed_input(tmp_path, capsys, argv):
+    huge = "1" * (INT_DIGIT_LIMIT + 1)
+    if argv[0] == "p1":
+        text = '{"degrees": [%s, 0, 0], "support": [[1, 1, 1]]}' % huge
+    else:
+        text = json.dumps(RANK6_INSTANCE).replace('"degree": 36', f'"degree": {huge}')
+    path = tmp_path / "huge.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, [*argv, str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read instance {str(path)!r}: Exceeds the limit")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "patch, prefix",
+    [
+        ({"steps": [{"rank": "7" * 3000, "degree": 0}]}, "error: steps[0].rank: expected an integer, got '777"),
+        ({"steps": "x" * 3000}, "error: steps: expected a list, got 'xxx"),
+        ({"delta": "x" * 3000}, "error: delta: invalid rational 'xxx"),
+        ({"weights": ["0" * 3000, "1", "1"]}, "error: weights[0]: expected a positive rational, got '000"),
+        (
+            {"mode": "hilbert", "total": {"rank": 6, "degree": 36, "hilbert": "x" * 3000}},
+            "error: total.hilbert: expected a coefficient list, got 'xxx",
+        ),
+    ],
+)
+def test_long_input_values_are_cut_in_error_messages(tmp_path, capsys, patch, prefix):
+    code, out, err = run(capsys, ["check", write_json(tmp_path, dict(RANK6_INSTANCE, **patch))])
+    assert code == 2 and out == ""
+    assert err.startswith(prefix) and "…" in err
+    assert len(err) < 200 and err.count("\n") == 1
 
 
 def test_reduce_rank6_keeps_all_steps(tmp_path, capsys):
@@ -544,6 +585,14 @@ def test_p1_classify(capsys):
     assert code == 0
     report = json.loads(out)
     assert len(report["rows"]) == 1023
+
+
+def test_p1_classify_bound_1_report_is_pinned(capsys):
+    code, out, _ = run(capsys, ["p1", "classify", "--bound", "1"])
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 1213
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "9894f134b821d9612e416e1838b8f77ec16ddfff1556792c8ee76fdffc17ce2e"
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

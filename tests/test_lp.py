@@ -21,13 +21,16 @@ from destab.instances import parse_instance
 from destab.model import InstanceError
 from destab.stability import (
     MARGINALLY_DESTABILIZED,
+    _decide,
     _epigraph,
     _face,
     _lp_costs,
     _pivot_coeffs,
     _start,
+    check_k_semistable,
     constants,
     region_minima,
+    violates,
 )
 
 import oracles
@@ -97,11 +100,26 @@ def test_slope_minimum_matches_sympy_lpmin(gate_instances):
         assert F(int(value.p), int(value.q)) == decide_destabilizing(fs, ps, sp).min_value
 
 
+def test_vertex_keys_give_the_step_conditions(gate_instances):
+    # Key i lists the cost rows' entries of c_i + r delta k_i, leading degree
+    # first, so its first nonzero entry has the sign of step i's value.
+    signs = set()
+    for fs, ps, sp in gate_instances:
+        verdict, keys = _decide(fs, ps, sp, "semi")
+        assert verdict == decide_destabilizing(fs, ps, sp)
+        for strict in (False, True):
+            conds = [not violates(next(filter(None, key), 0), strict) for key in keys]
+            assert conds == check_k_semistable(fs, ps, sp, strict)
+        signs |= {(sp.mode, next(filter(None, key), 0) > 0, not any(key)) for key in keys}
+    assert signs == {(mode, *sign) for mode in ("slope", "hilbert")
+                     for sign in ((False, False), (True, False), (False, True))}
+
+
 def _lp_face(fs, ps, sp):
     """The pivot coefficients, the LP's zero columns and its optimal face."""
     gs = list(_pivot_coeffs(ps, fs.s).values())
     costs = _lp_costs(constants(fs, sp), fs.total.rank * sp.delta, len(gs))
-    tableau, basis = _start(costs, gs, fs.s)
+    tableau, basis, _ = _start(costs, gs, fs.s)
     zero = simplex(tableau, basis, costs)
     return gs, zero, enumerate_vertices(tableau, basis, zero, implied=(fs.s,))
 
@@ -160,7 +178,7 @@ def test_optimal_face_does_not_depend_on_the_start(gate_instances):
             [[0] * (s + 1) + [1] * len(gs)],
         )
         for costs in kinds:
-            face = _face(costs, gs, s)
+            face, _ = _face(costs, gs, s)
             for i in range(s):
                 top = max(g[i] for g in gs)
                 k0 = next(k for k, g in enumerate(gs) if g[i] == top)

@@ -5,11 +5,12 @@ from itertools import combinations, combinations_with_replacement
 import oracles
 import pytest
 
-from destab.model import InstanceError
+from destab.model import InstanceError, StabilityParam
 from destab.p1 import (
     P1Tensor,
     _admissible_multisets,
     _degree_triples,
+    _flag_filtration,
     classify,
     enumerate_two_pivot_matrices,
     flag_pivots,
@@ -230,3 +231,22 @@ def test_one_stability_rule_on_the_level_set_pool():
         verdict = decide_destabilizing(fs, ps, sp, "stable")
         assert verdict.violated == (not verdict.min_value > 0)
         assert all(check_k_semistable(fs, ps, sp, strict=True)) or verdict.violated
+
+
+@pytest.mark.parametrize("strictness", ["semi", "stable"])
+def test_step_conditions_match_check_k_semistable_flag_by_flag(strictness):
+    # p1 reads each step condition off its flag's decide; check_k_semistable
+    # computes it again from the constants and k_of_level.
+    for degrees, support in _bounded_universe(2)[::11]:
+        for delta in (Fraction(1, 2), Fraction(1), Fraction(2)):
+            t = tensor(degrees, support, delta)
+            sp = StabilityParam.slope(delta)
+            for i, j, conds in is_semistable_p1(t, strictness).step_conditions:
+                fs, ps = _flag_filtration(t, i, j), flag_pivots(t, i, j)
+                assert list(conds) == check_k_semistable(fs, ps, sp, strictness == "stable")
+
+
+def test_classify_rows_match_per_tensor_verdicts():
+    # classify decides each distinct flag once across the whole call.
+    for row in classify(Fraction(1), 0):
+        assert row.semistable == is_semistable_p1(tensor(row.degrees, row.support)).semistable
