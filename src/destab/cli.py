@@ -7,6 +7,7 @@ Exit codes: 0 when the checked condition holds, 1 when it is violated,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -210,7 +211,11 @@ def cmd_p1(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole parser tree, built on the first call and then reused: argparse
+    keeps no per-call state on it, so every `main` call in a process shares it.
+    Callers must not modify the returned parser."""
     parser = argparse.ArgumentParser(
         prog="destab",
         description="Exact (semi)stability checks for discretized tensor-sheaf data.",

@@ -24,9 +24,17 @@ def clip(text: str) -> str:
 
 
 def guard_limit(default: int) -> int:
-    """Enumeration size guard; DESTAB_GUARD overrides the default."""
+    """Enumeration size guard; DESTAB_GUARD, a positive integer, overrides the default."""
     value = os.environ.get("DESTAB_GUARD")
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        limit = int(value)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise InstanceError(f"DESTAB_GUARD: expected a positive integer, got {clip(repr(value))}")
+    return limit
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,9 @@ import contextlib
 import io
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import time
 
@@ -9,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from destab.cli import main
+import destab
+from destab.cli import build_parser, main
+from destab.combinatorics import brute_maxp
 from destab.instances import parse_instance, instance_json
+from destab.model import InstanceError
 from util import RANK6_INSTANCE
 
 
@@ -558,6 +564,18 @@ def test_comb_guard_follows_destab_guard(capsys, monkeypatch):
     assert code == 2 and err == "error: a, t: comb maxp would take more than 100 steps\n"
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_invalid_destab_guard_is_named(tmp_path, capsys, monkeypatch, value):
+    path = write_json(tmp_path, PASSING_INSTANCE)
+    monkeypatch.setenv("DESTAB_GUARD", value)
+    for argv in (["check", path], ["comb", "maxp", "3", "4"], ["p1", "classify", "--bound", "0"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"error: DESTAB_GUARD: expected a positive integer, got '{value}'\n"
+    with pytest.raises(InstanceError, match="^DESTAB_GUARD: expected a positive integer"):
+        brute_maxp(2, 3)
+
+
 def test_p1_check_trivial_diagonal(tmp_path, capsys):
     path = write_json(
         tmp_path, {"degrees": [0, 0, 0], "support": [[1, 2, 3]], "delta": "1"}
@@ -600,6 +618,65 @@ def test_reports_are_deterministic(tmp_path, capsys):
     _, first, _ = run(capsys, ["check", path])
     _, second, _ = run(capsys, ["check", path])
     assert first == second
+
+
+def _session(argvs, fresh):
+    """(exit code, stdout, stderr) of `main` on each argv in turn; with `fresh`
+    the parser is built again before every call."""
+    results = []
+    for argv in argvs:
+        if fresh:
+            build_parser.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors and --help
+                code = exc.code
+        results.append((code, out.getvalue(), err.getvalue()))
+    return results
+
+
+def test_one_parser_serves_a_session_like_fresh_ones(tmp_path):
+    path = write_json(tmp_path, RANK6_INSTANCE)
+    tensor = write_json(tmp_path, {"degrees": [-2, 1, 1], "support": [[1, 3, 3]]}, "tensor.json")
+    argvs = [
+        ["check", "--strict", path],
+        [],
+        ["comb"],
+        ["check", path],
+        ["check", "--strict", "--semi", path],
+        ["reduce", "--strict", path],
+        ["reduce", path],
+        ["p1", "classify", "--bound", "x"],
+        ["comb", "maxp", "3", "4"],
+        ["check", "--trace", path],
+        ["--help"],
+        ["p1", "check", tensor, "--delta", "1/2"],
+        ["p1", "check", tensor],
+    ]
+    build_parser.cache_clear()
+    shared = _session(argvs, fresh=False)
+    assert build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [1, 2, 2, 1, 2, 1, 1, 2, 0, 1, 0, 1, 1]
+    assert _session(argvs, fresh=True) == shared
+
+
+def test_build_parser_returns_one_parser():
+    assert build_parser() is build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = pathlib.Path(destab.__file__).resolve().parent.parent
+    probe = "import destab.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "0\n"
 
 
 def test_no_floats_in_reports(tmp_path, capsys):
