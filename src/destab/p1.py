@@ -9,13 +9,14 @@ Semistability reduces to the six flag filtrations 0 < L_i < L_i + L_j < E.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 from .model import FiltrationSpec, InstanceError, SheafData, StabilityParam, clip
 from .pivots import PivotSet, Tuple_, dominated, ordered_tuples
-from .stability import CheckVerdict, _decide, violates
+from .stability import CheckVerdict, RankedVertices, _decide, ranked_vertices, violates
 
 ARITY = 3
 RANK = 3
@@ -70,21 +71,48 @@ def flag_pivots(tensor: P1Tensor, i: int, j: int) -> PivotSet:
         raise InstanceError(f"flag indices must be distinct elements of 1..3, got ({i},{j})")
     level = {x: 3 for x in (1, 2, 3)}
     level[i], level[j] = 1, 2
+    tuples = [tuple(sorted([level[x] for x in m])) for m in tensor.support]
+    try:
+        mask = sum({_LEVEL_BITS[tup] for tup in tuples})
+    except KeyError:  # a support `validate_p1` refuses: from_tuples judges it
+        return PivotSet.from_tuples(tuples, t=3, arity=ARITY)
+    return _flag_pivot_set(mask)
+
+
+# Bit k of a flag's level mask stands for the k-th ordered 3-tuple over 1..3.
+_LEVEL_BITS = {tup: 1 << k for k, tup in enumerate(ordered_tuples(ARITY, 3))}
+
+
+@functools.cache
+def _flag_pivot_set(mask: int) -> PivotSet:
+    """`PivotSet.from_tuples` of the level tuples in `mask`, once per mask: at
+    most the 1023 nonempty sets of ordered 3-tuples over 1..3.  An int key
+    keeps the cache small; a frozenset of tuples took about 1 MB."""
     return PivotSet.from_tuples(
-        (tuple(sorted(level[x] for x in m)) for m in tensor.support), t=3, arity=ARITY
+        (tup for tup, bit in _LEVEL_BITS.items() if mask & bit), t=3, arity=ARITY
     )
+
+
+@functools.cache
+def _flag_vertices(ps: PivotSet) -> RankedVertices:
+    """Every vertex of a flag's epigraph, ranked by each decide of the flag in
+    place of an LP.  The flags share s = 2 and t = 3, so the epigraph depends
+    on the pivots alone: at most the 15 antichains of ordered 3-tuples."""
+    return ranked_vertices(ps, 2)
+
+
+def k_singles(tensor: P1Tensor) -> tuple[int, int, int]:
+    """Per-summand survival counts of the decoration."""
+    return tuple(max(m.count(i) for m in tensor.support) for i in (1, 2, 3))
 
 
 def k_values(tensor: P1Tensor) -> tuple[tuple[int, int, int], dict[tuple[int, int], int]]:
     """Per-summand and per-pair survival counts of the decoration."""
-    singles = tuple(
-        max(m.count(i) for m in tensor.support) for i in (1, 2, 3)
-    )
     pairs = {
         (i, j): max(m.count(i) + m.count(j) for m in tensor.support)
         for i, j in combinations((1, 2, 3), 2)
     }
-    return singles, pairs
+    return k_singles(tensor), pairs
 
 
 def _flag_filtration(tensor: P1Tensor, i: int, j: int) -> FiltrationSpec:
@@ -124,7 +152,8 @@ Decided = dict[tuple[FiltrationSpec, PivotSet], tuple[CheckVerdict, tuple[bool, 
 def _decide_flags(tensor: P1Tensor, strictness: str, decided: Decided) -> P1Verdict:
     """`is_semistable_p1`, deciding each distinct (filtration, pivots) flag once
     through `decided`, which holds only flags of the tensor's delta decided at
-    this strictness.  Step i's condition is `check_k_semistable`'s, taken from
+    this strictness.  Each decide ranks the flag's `_flag_vertices` instead of
+    solving an LP.  Step i's condition is `check_k_semistable`'s, taken from
     the sign of the decide's cost key at the simplex vertex e_i."""
     validate_p1(tensor)
     sp = StabilityParam.slope(tensor.delta)
@@ -132,9 +161,10 @@ def _decide_flags(tensor: P1Tensor, strictness: str, decided: Decided) -> P1Verd
     flags = []
     steps = []
     for i, j in permutations((1, 2, 3), 2):
-        flag = (_flag_filtration(tensor, i, j), flag_pivots(tensor, i, j))
+        ps = flag_pivots(tensor, i, j)
+        flag = (_flag_filtration(tensor, i, j), ps)
         if flag not in decided:
-            verdict, keys = _decide(*flag, sp, strictness)
+            verdict, keys = _decide(*flag, sp, strictness, _flag_vertices(ps))
             decided[flag] = verdict, tuple(
                 not violates(next(filter(None, key), 0), strict) for key in keys
             )
@@ -208,13 +238,12 @@ def classify(delta=1, degree_bound: int = 0) -> list[ClassifiedTensor]:
             for support in combinations(admissible, n):
                 tensor = P1Tensor.make(degrees, support, delta)
                 verdict = _decide_flags(tensor, "semi", decided)
-                singles, _ = k_values(tensor)
                 rows.append(
                     ClassifiedTensor(
                         degrees=degrees,
                         support=tuple(sorted(support)),
                         semistable=verdict.semistable,
-                        k_singles=singles,
+                        k_singles=k_singles(tensor),
                     )
                 )
     return rows

@@ -15,6 +15,13 @@ writes the values' coefficients, leading degree first, as integer cost rows,
 and their lexicographic order is the asymptotic order of the values.
 `--trace` takes zero costs, whose optimal face is the whole epigraph, and the
 splitting test minimizes the total slack.
+
+`_least` is the second face source: given that zero-cost vertex list
+(`epigraph_vertices`) with integer (w, z) numerators (`ranked_vertices`), it
+keeps the vertices of least integer cost key and returns the list `_face`
+returns, with no LP.  `p1`, whose flags share at most 15 epigraphs, decides by
+ranking them; every other decide solves the LP, which the tests hold the
+ranked route to.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .model import (
@@ -201,20 +209,26 @@ def _epigraph(gs: Sequence[Tuple_], s: int) -> list[IntRow]:
     ]
 
 
+def _vertex_keys(costs: list[list[int]], gs: Sequence[Tuple_], s: int) -> list[list[int]]:
+    """The cost key of each simplex vertex e_j of the epigraph.  At e_j, z =
+    max_p g_p[j], which is `k_of_level(ps, j + 1)`, so key j lists the cost
+    rows' entries of c_j + r delta k_j: its first nonzero entry has the sign
+    of step j's length-one value."""
+    tops = [max(g[i] for g in gs) for i in range(s)]
+    return [[row[j] + row[s] * tops[j] for row in costs] for j in range(s)]
+
+
 def _start(
     costs: list[list[int]], gs: Sequence[Tuple_], s: int
 ) -> tuple[list[IntRow], list[int], list[list[int]]]:
     """The `_epigraph` rows as written, a feasible basis at the simplex vertex
-    e_i that the cost rows rank cheapest, and every vertex's cost key.  The
-    basis holds w_i for the simplex row, z for the row of the first pivot
-    attaining max_p g_p[i], and its own slack for every other pivot's row.  At
-    e_j, z = max_p g_p[j], which is `k_of_level(ps, j + 1)`, so key j lists the
-    cost rows' entries of c_j + r delta k_j: its first nonzero entry has the
-    sign of step j's length-one value."""
-    tops = [max(g[i] for g in gs) for i in range(s)]
-    keys = [[row[j] + row[s] * tops[j] for row in costs] for j in range(s)]
+    e_i that the cost rows rank cheapest, and the `_vertex_keys`.  The basis
+    holds w_i for the simplex row, z for the row of the first pivot attaining
+    max_p g_p[i], and its own slack for every other pivot's row."""
+    keys = _vertex_keys(costs, gs, s)
     i = min(range(s), key=keys.__getitem__)
-    k0 = next(k for k, g in enumerate(gs) if g[i] == tops[i])
+    top = max(g[i] for g in gs)
+    k0 = next(k for k, g in enumerate(gs) if g[i] == top)
     return _epigraph(gs, s), [i] + [s if k == k0 else s + 1 + k for k in range(len(gs))], keys
 
 
@@ -243,6 +257,41 @@ def _face(
     return face, keys
 
 
+def epigraph_vertices(gs: Sequence[Tuple_], s: int) -> list[tuple[Fraction, ...]]:
+    """Every vertex (w, z, slacks) of the epigraph, sorted: the optimal face of
+    zero costs, which is the whole epigraph."""
+    return _face([[0] * (s + 1 + len(gs))], gs, s)[0]
+
+
+# The sorted epigraph vertices, and their (w, z) coordinates as integer
+# numerators over one common positive denominator; tuples, since p1 caches them.
+RankedVertices = tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[int, ...], ...]]
+
+
+def ranked_vertices(ps: PivotSet, s: int) -> RankedVertices:
+    """The `epigraph_vertices` of the pivots over s steps with their (w, z)
+    numerators, which `_least` ranks by cost."""
+    vertices = epigraph_vertices(list(_pivot_coeffs(ps, s).values()), s)
+    den = lcm(*[x.denominator for v in vertices for x in v[: s + 1]])
+    numerators = tuple(
+        tuple(x.numerator * (den // x.denominator) for x in v[: s + 1]) for v in vertices
+    )
+    return tuple(vertices), numerators
+
+
+def _least(costs: list[list[int]], ranked: RankedVertices) -> list[tuple[Fraction, ...]]:
+    """The vertices whose integer cost key is least, in list order.  A
+    lexicographic linear cost is least over a polytope on a face whose vertices
+    are the polytope's vertices of least cost (Schrijver 1986), so over the
+    sorted epigraph vertices this is `_face`'s list, with no LP.  The slacks
+    cost 0, so the keys read only the (w, z) numerators; their positive common
+    denominator keeps the order."""
+    vertices, numerators = ranked
+    keys = [[sum(map(mul, row, v)) for row in costs] for v in numerators]
+    least = min(keys)
+    return [v for v, key in zip(vertices, keys) if key == least]
+
+
 def region_minima(
     fs: FiltrationSpec, ps: PivotSet, sp: StabilityParam
 ) -> list[tuple[Tuple_, list[tuple[Weights, Value]]]]:
@@ -257,7 +306,7 @@ def region_minima(
     _check_instance(fs, ps)
     s, r = fs.s, fs.total.rank
     gs = _pivot_coeffs(ps, s)
-    vertices, _ = _face([[0] * (s + 1 + len(gs))], list(gs.values()), s)
+    vertices = epigraph_vertices(list(gs.values()), s)
     value = {v: _value(sp, cs, r, v[:s], v[s]) for v in vertices}
     return [
         (p, [(v[:s], value[v]) for v in vertices if v[s + 1 + k] == 0]) for k, p in enumerate(gs)
@@ -295,20 +344,29 @@ def decide_destabilizing(
 
 
 def _decide(
-    fs: FiltrationSpec, ps: PivotSet, sp: StabilityParam, strictness: str
+    fs: FiltrationSpec,
+    ps: PivotSet,
+    sp: StabilityParam,
+    strictness: str,
+    ranked: Optional[RankedVertices] = None,
 ) -> tuple[CheckVerdict, list[list[int]]]:
-    """`decide_destabilizing`'s verdict and `_start`'s vertex keys: step i's
+    """`decide_destabilizing`'s verdict and the `_vertex_keys`: step i's
     `check_k_semistable` condition is `not violates(x, strict)` for the first
-    nonzero entry x of key i - 1 (0 if there is none)."""
+    nonzero entry x of key i - 1 (0 if there is none).  The optimal face comes
+    from the LP, or, given the epigraph's `ranked_vertices`, from `_least`;
+    both give the same list, and everything after it is shared."""
     if strictness not in ("semi", "stable"):
         raise InstanceError(f"unknown strictness {strictness!r}")
     cs = constants(fs, sp)
     _check_instance(fs, ps)
     s = fs.s
-    gs = _pivot_coeffs(ps, s)
+    gs = list(_pivot_coeffs(ps, s).values())
     costs = _lp_costs(cs, fs.total.rank * sp.delta, len(gs))
-    face, keys = _face(costs, list(gs.values()), s)
-    regions = [(p, [v for v in face if v[s + 1 + k] == 0]) for k, p in enumerate(gs)]
+    if ranked is None:
+        face, keys = _face(costs, gs, s)
+    else:
+        face, keys = _least(costs, ranked), _vertex_keys(costs, gs, s)
+    regions = [(p, [v for v in face if v[s + 1 + k] == 0]) for k, p in enumerate(ps.pivots)]
     regions = [(p, vs) for p, vs in regions if vs]
 
     witness = face[0][:s]

@@ -613,6 +613,21 @@ def test_p1_classify_bound_1_report_is_pinned(capsys):
     assert digest == "9894f134b821d9612e416e1838b8f77ec16ddfff1556792c8ee76fdffc17ce2e"
 
 
+@pytest.mark.parametrize(
+    "delta, digest",
+    [
+        ("1", "5194986021f1447ba1628f503fc43e82bf1418a73f957d49a5ea98a513f8fb2e"),
+        ("1/2", "e4ce7772ee83cd820d300bc0f5091d14eb94d88b1e69acbb7a93f73adc3b1546"),
+    ],
+)
+def test_p1_classify_bound_2_report_is_pinned(capsys, delta, digest):
+    # Recorded when every flag decide still solved its own LP.
+    code, out, _ = run(capsys, ["p1", "classify", "--bound", "2", "--delta", delta])
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 1529
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     path = write_json(tmp_path, dict(RANK6_INSTANCE, weights=["4", "2", "6"]))
     _, first, _ = run(capsys, ["check", path])

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 import oracles
 import pytest
@@ -11,15 +11,18 @@ from destab.p1 import (
     _admissible_multisets,
     _degree_triples,
     _flag_filtration,
+    _flag_pivot_set,
+    _flag_vertices,
     classify,
     enumerate_two_pivot_matrices,
     flag_pivots,
     is_semistable_p1,
+    k_singles,
     k_values,
     tensor_count,
     validate_p1,
 )
-from destab.stability import check_k_semistable, decide_destabilizing
+from destab.stability import _decide, check_k_semistable, decide_destabilizing
 from util import level_set_instance
 
 
@@ -83,10 +86,19 @@ def test_flag_pivots_rejects_bad_indices():
         flag_pivots(t, 0, 2)
 
 
+def test_flag_pivots_leaves_a_malformed_support_to_from_tuples():
+    # Only sets of ordered 3-tuples are cached; any other set is still judged by
+    # PivotSet.from_tuples, on every call.
+    t = tensor((0, 0, 0), [(1, 2)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^pivots\[0\]: tuple \(1, 2\) does not have arity 3$"):
+            flag_pivots(t, 1, 2)
+
+
 def test_k_values():
     t = tensor((0, 0, 0), [(1, 1, 2), (2, 3, 3)])
     singles, pairs = k_values(t)
-    assert singles == (2, 1, 2)
+    assert singles == (2, 1, 2) == k_singles(t)
     assert pairs == {(1, 2): 3, (1, 3): 2, (2, 3): 3}
 
 
@@ -250,3 +262,30 @@ def test_classify_rows_match_per_tensor_verdicts():
     # classify decides each distinct flag once across the whole call.
     for row in classify(Fraction(1), 0):
         assert row.semistable == is_semistable_p1(tensor(row.degrees, row.support)).semistable
+
+
+def test_ranked_decide_matches_the_lp_on_every_bound_2_flag():
+    # p1 ranks the cached vertices of each flag's epigraph instead of solving
+    # an LP; the LP decide is the oracle, on every distinct flag of the
+    # bound-2 universe, at five deltas and in both strictnesses.
+    flags = {
+        (_flag_filtration(t, i, j), flag_pivots(t, i, j)): None
+        for t in (tensor(degrees, support) for degrees, support in _bounded_universe(2))
+        for i, j in permutations((1, 2, 3), 2)
+    }
+    assert len(flags) == 222 and len({ps for _, ps in flags}) == 15
+    for delta in (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 3)):
+        sp = StabilityParam.slope(delta)
+        for fs, ps in flags:
+            for strictness in ("semi", "stable"):
+                lp, lp_keys = _decide(fs, ps, sp, strictness)
+                ranked, ranked_keys = _decide(fs, ps, sp, strictness, _flag_vertices(ps))
+                assert (repr(ranked), ranked_keys) == (repr(lp), lp_keys)
+
+
+def test_flag_caches_stay_on_their_finite_domains():
+    # One epigraph per antichain of ordered 3-tuples over 1..3, and one pivot
+    # set per nonempty set of those ten tuples.
+    classify(Fraction(1), 2)
+    assert _flag_vertices.cache_info().currsize == 15
+    assert _flag_pivot_set.cache_info().currsize <= 1023
