@@ -26,8 +26,8 @@ from .instances import (
 )
 from .model import InstanceError, clip, guard_limit
 from .stability import (
+    _decide,
     check_k_semistable,
-    decide_destabilizing,
     k_of_level,
     mu_via_pivots,
     objective,
@@ -61,8 +61,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     fs, ps, sp, weights = parse_instance(_read_json(args.instance))
     strictness = "stable" if args.strict else "semi"
     report: dict[str, Any] = {"instance": instance_json(fs, ps, sp, weights)}
-    ks = [k_of_level(ps, lvl) for lvl in range(1, fs.t)]
-    report["k_values"] = ks
+    report["k_values"] = [k_of_level(ps, lvl) for lvl in range(1, fs.t)]
     if weights is not None:
         value = objective(fs, ps, weights, sp)
         rmax, pivot = r_value(fs, ps, weights)
@@ -71,11 +70,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         report["r_max"] = str(rmax)
         report["attaining_pivot"] = list(pivot)
         violated = violates(value, args.strict)
+        report["step_conditions"] = check_k_semistable(fs, ps, sp, strict=args.strict)
     else:
-        verdict = decide_destabilizing(fs, ps, sp, strictness)
+        verdict, report["step_conditions"] = _decide(fs, ps, sp, strictness)
         report["verdict"] = verdict_json(verdict)
         violated = verdict.violated
-    report["step_conditions"] = check_k_semistable(fs, ps, sp, strict=args.strict)
     report["violated"] = violated
     if args.trace:
         report["regions"] = [

@@ -9,7 +9,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
-from .model import FiltrationSpec, InstanceError, SheafData, StabilityParam, clip
+from .model import (
+    FiltrationSpec,
+    InstanceError,
+    SheafData,
+    StabilityParam,
+    clip,
+    validate_filtration,
+)
 from .pivots import PivotSet
 from .poly import UniPoly
 from .stability import CheckVerdict, Value
@@ -101,6 +108,7 @@ def parse_instance(
     pivots = parse_list(obj.get("pivots"), "pivots", parse_list)
     if not pivots:
         raise InstanceError("pivots: expected a nonempty list, got []")
+    validate_filtration(fs)  # before the pivots, which are read against its arity and levels
     ps = PivotSet.from_tuples(pivots, t=fs.t, arity=arity)
 
     weights: Optional[Weights] = None

@@ -16,7 +16,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from .model import FiltrationSpec, InstanceError, SheafData, StabilityParam, clip
 from .pivots import PivotSet, Tuple_, dominated, ordered_tuples
-from .stability import CheckVerdict, RankedVertices, _decide, ranked_vertices, violates
+from .stability import CheckVerdict, RankedVertices, _decide, ranked_vertices
 
 ARITY = 3
 RANK = 3
@@ -106,15 +106,6 @@ def k_singles(tensor: P1Tensor) -> tuple[int, int, int]:
     return tuple(max(m.count(i) for m in tensor.support) for i in (1, 2, 3))
 
 
-def k_values(tensor: P1Tensor) -> tuple[tuple[int, int, int], dict[tuple[int, int], int]]:
-    """Per-summand and per-pair survival counts of the decoration."""
-    pairs = {
-        (i, j): max(m.count(i) + m.count(j) for m in tensor.support)
-        for i, j in combinations((1, 2, 3), 2)
-    }
-    return k_singles(tensor), pairs
-
-
 def _flag_filtration(tensor: P1Tensor, i: int, j: int) -> FiltrationSpec:
     d = tensor.degrees
     return FiltrationSpec(
@@ -153,21 +144,17 @@ def _decide_flags(tensor: P1Tensor, strictness: str, decided: Decided) -> P1Verd
     """`is_semistable_p1`, deciding each distinct (filtration, pivots) flag once
     through `decided`, which holds only flags of the tensor's delta decided at
     this strictness.  Each decide ranks the flag's `_flag_vertices` instead of
-    solving an LP.  Step i's condition is `check_k_semistable`'s, taken from
-    the sign of the decide's cost key at the simplex vertex e_i."""
+    solving an LP, and returns the flag's step conditions with its verdict."""
     validate_p1(tensor)
     sp = StabilityParam.slope(tensor.delta)
-    strict = strictness == "stable"
     flags = []
     steps = []
     for i, j in permutations((1, 2, 3), 2):
         ps = flag_pivots(tensor, i, j)
         flag = (_flag_filtration(tensor, i, j), ps)
         if flag not in decided:
-            verdict, keys = _decide(*flag, sp, strictness, _flag_vertices(ps))
-            decided[flag] = verdict, tuple(
-                not violates(next(filter(None, key), 0), strict) for key in keys
-            )
+            verdict, conds = _decide(*flag, sp, strictness, _flag_vertices(ps))
+            decided[flag] = verdict, tuple(conds)
         verdict, conds = decided[flag]
         flags.append((i, j, verdict))
         steps.append((i, j, conds))

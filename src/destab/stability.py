@@ -179,14 +179,12 @@ def k_of_level(ps: PivotSet, level: int) -> int:
 def check_k_semistable(
     fs: FiltrationSpec, ps: PivotSet, sp: StabilityParam, strict: bool = False
 ) -> list[bool]:
-    """Per-step length-one condition: `not violates(constant + r * delta * k, strict)`."""
+    """Per-step length-one condition `not violates(c_i + r * delta * k_i, strict)`,
+    the value at the simplex vertex e_i, read off its `_vertex_keys` entry."""
     _check_instance(fs, ps)
-    cs = constants(fs, sp)
-    r = fs.total.rank
-    return [
-        not violates(c + r * k_of_level(ps, level) * sp.delta, strict)
-        for level, c in enumerate(cs, start=1)
-    ]
+    gs = list(_pivot_coeffs(ps, fs.s).values())
+    costs = _lp_costs(constants(fs, sp), fs.total.rank * sp.delta, len(gs))
+    return _step_conditions(_vertex_keys(costs, gs, fs.s), strict)
 
 
 @dataclass(frozen=True)
@@ -216,6 +214,12 @@ def _vertex_keys(costs: list[list[int]], gs: Sequence[Tuple_], s: int) -> list[l
     of step j's length-one value."""
     tops = [max(g[i] for g in gs) for i in range(s)]
     return [[row[j] + row[s] * tops[j] for row in costs] for j in range(s)]
+
+
+def _step_conditions(keys: list[list[int]], strict: bool) -> list[bool]:
+    """Each step's `check_k_semistable` condition from its `_vertex_keys`
+    entry: `not violates(x, strict)` for its first nonzero entry x, or 0."""
+    return [not violates(next(filter(None, key), 0), strict) for key in keys]
 
 
 def _start(
@@ -349,12 +353,12 @@ def _decide(
     sp: StabilityParam,
     strictness: str,
     ranked: Optional[RankedVertices] = None,
-) -> tuple[CheckVerdict, list[list[int]]]:
-    """`decide_destabilizing`'s verdict and the `_vertex_keys`: step i's
-    `check_k_semistable` condition is `not violates(x, strict)` for the first
-    nonzero entry x of key i - 1 (0 if there is none).  The optimal face comes
-    from the LP, or, given the epigraph's `ranked_vertices`, from `_least`;
-    both give the same list, and everything after it is shared."""
+) -> tuple[CheckVerdict, list[bool]]:
+    """`decide_destabilizing`'s verdict and `check_k_semistable`'s step
+    conditions at its strictness, decoded from the `_vertex_keys` of its cost
+    rows.  The optimal face comes from the LP, or, given the epigraph's
+    `ranked_vertices`, from `_least`; both give the same list, and everything
+    after it is shared."""
     if strictness not in ("semi", "stable"):
         raise InstanceError(f"unknown strictness {strictness!r}")
     cs = constants(fs, sp)
@@ -386,7 +390,7 @@ def _decide(
             boundary = tuple(i + 1 for i, c in enumerate(witness) if c > 0)
     violated = violates(min_value, strictness == "stable")
     verdict = CheckVerdict(min_value, witness, regions[0][0], classification, violated, boundary)
-    return verdict, keys
+    return verdict, _step_conditions(keys, strictness == "stable")
 
 
 def reduce_destabilizer(

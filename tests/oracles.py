@@ -10,16 +10,19 @@ with one fraction-free integer LP and lists the vertices of its optimal face;
 every pivot's linearity region, each region enumerated on its own, and the
 minimum over all of them; `check_splitting` enumerates the polytope of equal
 pivot sums.  The library's zero-cost, least-value and least-slack LPs must
-return exactly what they return.  `flag_pivots` is the original p1 flag pivot
-extraction through the full 0/1 table; the library derives the pivots
-directly from the support's levels.
+return exactly what they return.  `check_k_semistable` computes the step
+conditions from the formula c_i + r delta k_i (`step_values`); the library
+reads them off the decide's integer cost keys.  `p1_hull` decides a p1 tensor
+by the torus hull test instead of its six flags.  `flag_pivots` is the
+original p1 flag pivot extraction through the full 0/1 table; the library
+derives the pivots directly from the support's levels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from destab.pivots import PivotSet, Tuple_, ordered_tuples
@@ -187,6 +190,50 @@ def check_splitting(fs, ps):
     nonneg = [make_row([int(i == j) for i in range(s)], 0) for j in range(s)]
     vertices = enumerate_vertices([make_row([1] * s, 1)] + equal_sums, nonneg, s)
     return (True, vertices[0]) if vertices else (False, None)
+
+
+def step_values(fs, ps, sp) -> list:
+    """Each step's length-one value c_i + r delta k_i, with k_i the most pivot
+    coordinates at or below level i: the stability value at the vertex e_i."""
+    r = fs.total.rank
+    return [
+        c + r * max(sum(1 for x in p if x <= level) for p in ps.pivots) * sp.delta
+        for level, c in enumerate(constants(fs, sp), start=1)
+    ]
+
+
+def check_k_semistable(fs, ps, sp, strict=False) -> list[bool]:
+    """The step conditions from their formula: step i holds unless its value
+    is negative or, when `strict`, not positive."""
+    return [not (v < 0 or (strict and not v > 0)) for v in step_values(fs, ps, sp)]
+
+
+def p1_hull(tensor, strict=False) -> bool:
+    """Whether d/delta lies in the hull of the weights count_m - (a/r) 1 of the
+    support's monomials m, in its interior relative to the sum-zero plane when
+    `strict`: the torus hull test (Mumford, Fogarty & Kirwan, GIT, 2.1) that
+    the README derives for `is_semistable_p1`.
+
+    The plane is read in its first two coordinates.  d/delta lies in the hull
+    when no direction u has max_m <u, wt_m> < <u, d/delta>, and in its
+    interior when none has <=.  It suffices to try e_1, e_2, each difference
+    of two weights and that difference turned a quarter turn, all with both
+    signs: they hold the outer normal of every edge of a polygon hull, the
+    normals and directions of a segment hull, and four directions around a
+    point hull."""
+    d, delta = tensor.degrees, tensor.delta
+    counts = {(m.count(1), m.count(2)) for m in tensor.support}
+    shift = Fraction(len(next(iter(tensor.support))), len(d))  # a / r
+    dirs = {(1, 0), (0, 1)}
+    for (a1, a2), (b1, b2) in combinations(counts, 2):
+        g = gcd(a1 - b1, a2 - b2)
+        dirs |= {((a1 - b1) // g, (a2 - b2) // g), ((b2 - a2) // g, (a1 - b1) // g)}
+    for u1, u2 in dirs | {(-u1, -u2) for u1, u2 in dirs}:
+        top = max(u1 * c1 + u2 * c2 for c1, c2 in counts) - (u1 + u2) * shift
+        gap = top - (u1 * d[0] + u2 * d[1]) / delta
+        if gap < 0 or (strict and gap == 0):
+            return False
+    return True
 
 
 def flag_pivots(tensor, i: int, j: int) -> PivotSet:

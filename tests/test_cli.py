@@ -63,6 +63,17 @@ def test_check_without_weights_decides(tmp_path, capsys):
     assert report["verdict"]["witness"] == ["1/3", "1/6", "1/2"]
 
 
+@pytest.mark.parametrize("flags", [[], ["--strict"]])
+def test_check_without_weights_computes_the_constants_once(tmp_path, capsys, monkeypatch, flags):
+    # The verdict and the step conditions come from one decide.
+    calls = []
+    constants = destab.stability.constants
+    monkeypatch.setattr(destab.stability, "constants", lambda *a: calls.append(a) or constants(*a))
+    code, out, _ = run(capsys, ["check", *flags, write_json(tmp_path, RANK6_INSTANCE)])
+    assert code == 1 and json.loads(out)["step_conditions"] == [True, True, True]
+    assert len(calls) == 1
+
+
 def test_check_trace_lists_regions(tmp_path, capsys):
     code, out, _ = run(capsys, ["check", "--trace", write_json(tmp_path, RANK6_INSTANCE)])
     assert code == 1
@@ -279,6 +290,8 @@ STRUCTURAL_ERRORS = [
         dict(RANK6_INSTANCE, steps=[], pivots=[[1, 1, 1, 1]], weights=[]),
         "steps: expected at least one step, got []",
     ),
+    # The filtration is checked before the pivots are read against its arity.
+    (dict(RANK6_INSTANCE, arity=0, pivots=[[1]]), "arity: expected a positive integer, got 0"),
 ]
 
 

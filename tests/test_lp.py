@@ -30,7 +30,6 @@ from destab.stability import (
     check_k_semistable,
     constants,
     region_minima,
-    violates,
 )
 
 import oracles
@@ -102,15 +101,18 @@ def test_slope_minimum_matches_sympy_lpmin(gate_instances):
 
 def test_vertex_keys_give_the_step_conditions(gate_instances):
     # Key i lists the cost rows' entries of c_i + r delta k_i, leading degree
-    # first, so its first nonzero entry has the sign of step i's value.
+    # first, so its first nonzero entry has the sign of step i's value: the
+    # decide's conditions and check_k_semistable's follow the formula.
     signs = set()
     for fs, ps, sp in gate_instances:
-        verdict, keys = _decide(fs, ps, sp, "semi")
-        assert verdict == decide_destabilizing(fs, ps, sp)
-        for strict in (False, True):
-            conds = [not violates(next(filter(None, key), 0), strict) for key in keys]
+        for strictness in ("semi", "stable"):
+            strict = strictness == "stable"
+            verdict, conds = _decide(fs, ps, sp, strictness)
+            assert verdict == decide_destabilizing(fs, ps, sp, strictness)
             assert conds == check_k_semistable(fs, ps, sp, strict)
-        signs |= {(sp.mode, next(filter(None, key), 0) > 0, not any(key)) for key in keys}
+            assert conds == oracles.check_k_semistable(fs, ps, sp, strict)
+        values = oracles.step_values(fs, ps, sp)
+        signs |= {(sp.mode, v > 0, not (v < 0 or v > 0)) for v in values}
     assert signs == {(mode, *sign) for mode in ("slope", "hilbert")
                      for sign in ((False, False), (True, False), (False, True))}
 

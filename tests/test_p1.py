@@ -18,7 +18,6 @@ from destab.p1 import (
     flag_pivots,
     is_semistable_p1,
     k_singles,
-    k_values,
     tensor_count,
     validate_p1,
 )
@@ -97,9 +96,7 @@ def test_flag_pivots_leaves_a_malformed_support_to_from_tuples():
 
 def test_k_values():
     t = tensor((0, 0, 0), [(1, 1, 2), (2, 3, 3)])
-    singles, pairs = k_values(t)
-    assert singles == (2, 1, 2) == k_singles(t)
-    assert pairs == {(1, 2): 3, (1, 3): 2, (2, 3): 3}
+    assert k_singles(t) == (2, 1, 2)
 
 
 def test_trivial_bundle_diagonal_support_is_semistable():
@@ -131,8 +128,7 @@ def test_two_factor_flag_counterexample_to_length_one_sufficiency():
     # All per-summand counts are positive, yet the two-step flag through L_3
     # and then L_3 + L_1 destabilizes: length-one conditions do not suffice.
     t = tensor((0, 0, 0), [(1, 1, 1), (2, 2, 3)])
-    singles, _ = k_values(t)
-    assert min(singles) >= 1
+    assert min(k_singles(t)) >= 1
     verdict = is_semistable_p1(t)
     assert not verdict.semistable
     flag = {(i, j): v for i, j, v in verdict.flags}
@@ -247,15 +243,16 @@ def test_one_stability_rule_on_the_level_set_pool():
 
 @pytest.mark.parametrize("strictness", ["semi", "stable"])
 def test_step_conditions_match_check_k_semistable_flag_by_flag(strictness):
-    # p1 reads each step condition off its flag's decide; check_k_semistable
-    # computes it again from the constants and k_of_level.
+    # p1 reads each step condition off its flag's decide; the oracle computes
+    # it from the formula c_i + r delta k_i.
     for degrees, support in _bounded_universe(2)[::11]:
         for delta in (Fraction(1, 2), Fraction(1), Fraction(2)):
             t = tensor(degrees, support, delta)
             sp = StabilityParam.slope(delta)
             for i, j, conds in is_semistable_p1(t, strictness).step_conditions:
                 fs, ps = _flag_filtration(t, i, j), flag_pivots(t, i, j)
-                assert list(conds) == check_k_semistable(fs, ps, sp, strictness == "stable")
+                formula = oracles.check_k_semistable(fs, ps, sp, strictness == "stable")
+                assert list(conds) == formula
 
 
 def test_classify_rows_match_per_tensor_verdicts():
@@ -267,7 +264,8 @@ def test_classify_rows_match_per_tensor_verdicts():
 def test_ranked_decide_matches_the_lp_on_every_bound_2_flag():
     # p1 ranks the cached vertices of each flag's epigraph instead of solving
     # an LP; the LP decide is the oracle, on every distinct flag of the
-    # bound-2 universe, at five deltas and in both strictnesses.
+    # bound-2 universe, at five deltas and in both strictnesses.  Both routes'
+    # step conditions and check_k_semistable's follow the formula.
     flags = {
         (_flag_filtration(t, i, j), flag_pivots(t, i, j)): None
         for t in (tensor(degrees, support) for degrees, support in _bounded_universe(2))
@@ -278,9 +276,12 @@ def test_ranked_decide_matches_the_lp_on_every_bound_2_flag():
         sp = StabilityParam.slope(delta)
         for fs, ps in flags:
             for strictness in ("semi", "stable"):
-                lp, lp_keys = _decide(fs, ps, sp, strictness)
-                ranked, ranked_keys = _decide(fs, ps, sp, strictness, _flag_vertices(ps))
-                assert (repr(ranked), ranked_keys) == (repr(lp), lp_keys)
+                strict = strictness == "stable"
+                formula = oracles.check_k_semistable(fs, ps, sp, strict)
+                lp, lp_conds = _decide(fs, ps, sp, strictness)
+                ranked, ranked_conds = _decide(fs, ps, sp, strictness, _flag_vertices(ps))
+                assert repr(ranked) == repr(lp)
+                assert ranked_conds == lp_conds == check_k_semistable(fs, ps, sp, strict) == formula
 
 
 def test_flag_caches_stay_on_their_finite_domains():
@@ -289,3 +290,29 @@ def test_flag_caches_stay_on_their_finite_domains():
     classify(Fraction(1), 2)
     assert _flag_vertices.cache_info().currsize == 15
     assert _flag_pivot_set.cache_info().currsize <= 1023
+
+
+def test_hull_oracle_counts_the_trivial_bundle_supports():
+    # On the trivial bundle d = 0 lies in the hull of the weights of 903 of the
+    # 1023 supports, and in its interior for 644 of them.
+    multisets = list(combinations_with_replacement((1, 2, 3), 3))
+    tensors = [tensor((0, 0, 0), c) for n in range(1, 11) for c in combinations(multisets, n)]
+    assert sum(map(oracles.p1_hull, tensors)) == 903
+    assert sum(oracles.p1_hull(t, strict=True) for t in tensors) == 644
+
+
+def test_hull_oracle_matches_the_flag_decides():
+    # The torus hull test that the README derives for this model, against the
+    # six flag decides on every 13th tensor of degree bound 2, at three deltas
+    # and in both strictnesses.  By its d = 0 corollary no admissible tensor
+    # off the trivial bundle passes.
+    seen = set()
+    for degrees, support in _bounded_universe(2)[::13]:
+        for delta in (Fraction(1, 3), Fraction(1), Fraction(7, 3)):
+            t = tensor(degrees, support, delta)
+            for strictness in ("semi", "stable"):
+                hull = oracles.p1_hull(t, strictness == "stable")
+                assert hull == is_semistable_p1(t, strictness).semistable
+                seen.add((strictness, any(degrees), hull))
+    assert seen == {(strictness, moved, hull) for strictness in ("semi", "stable")
+                    for moved, hull in ((False, False), (False, True), (True, False))}
