@@ -26,8 +26,8 @@ from .instances import (
 )
 from .model import InstanceError, clip, guard_limit
 from .stability import (
-    _decide,
     check_k_semistable,
+    decide_destabilizing,
     k_of_level,
     mu_via_pivots,
     objective,
@@ -72,7 +72,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         violated = violates(value, args.strict)
         report["step_conditions"] = check_k_semistable(fs, ps, sp, strict=args.strict)
     else:
-        verdict, report["step_conditions"] = _decide(fs, ps, sp, strictness)
+        verdict = decide_destabilizing(fs, ps, sp, strictness)
+        report["step_conditions"] = list(verdict.step_conditions)
         report["verdict"] = verdict_json(verdict)
         violated = verdict.violated
     report["violated"] = violated
@@ -179,8 +180,7 @@ def cmd_p1(args: argparse.Namespace) -> int:
                     {"flag": [i, j], **verdict_json(v)} for i, j, v in verdict.flags
                 ],
                 "step_conditions": [
-                    {"flag": [i, j], "ok": list(conds)}
-                    for i, j, conds in verdict.step_conditions
+                    {"flag": [i, j], "ok": list(v.step_conditions)} for i, j, v in verdict.flags
                 ],
             }
         )

@@ -92,7 +92,8 @@ def brute_maxp(a: int, t: int) -> int:
 
 
 def _qint(n: int) -> list[int]:
-    return [1] * n if n > 0 else [0]
+    """[n]_q = 1 + q + ... + q^(n-1), for n >= 1."""
+    return [1] * n
 
 
 def _pmul(p: list[int], q: list[int]) -> list[int]:
@@ -105,8 +106,6 @@ def _pmul(p: list[int], q: list[int]) -> list[int]:
 
 def _pdivexact(num: list[int], den: list[int]) -> list[int]:
     num = list(num)
-    while den and den[-1] == 0:
-        den.pop()
     quot = [0] * (len(num) - len(den) + 1)
     for i in range(len(quot) - 1, -1, -1):
         c, rem = divmod(num[i + len(den) - 1], den[-1])
@@ -130,19 +129,13 @@ def gaussian_binomial(n: int, k: int) -> QPoly:
     for i in range(k):
         num = _pmul(num, _qint(n - i))
         den = _pmul(den, _qint(i + 1))
-    quot = _pdivexact(num, den)
-    while quot and quot[-1] == 0:
-        quot.pop()
-    return tuple(quot)
+    return tuple(_pdivexact(num, den))
 
 
 def verify_q_identity(a: int, t: int) -> tuple[bool, QPoly, QPoly]:
     """Compare the q-binomial (a+t-1 choose a) with the generating polynomial of f."""
     lhs = gaussian_binomial(a + t - 1, a)
-    rhs_list = [f_atx(a, t, x) for x in range(a, a * t + 1)]
-    while rhs_list and rhs_list[-1] == 0:
-        rhs_list.pop()
-    rhs = tuple(rhs_list)
+    rhs = tuple(f_atx(a, t, x) for x in range(a, a * t + 1))
     return lhs == rhs, lhs, rhs
 
 

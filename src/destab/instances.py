@@ -15,13 +15,10 @@ from .model import (
     SheafData,
     StabilityParam,
     clip,
-    validate_filtration,
 )
 from .pivots import PivotSet
 from .poly import UniPoly
-from .stability import CheckVerdict, Value
-
-Weights = tuple[Fraction, ...]
+from .stability import CheckVerdict, Value, Weights
 
 
 def parse_frac(text: Any, path: str) -> Fraction:
@@ -97,7 +94,6 @@ def parse_instance(
     multiplicity = parse_int(obj.get("multiplicity", 1), "multiplicity")
     total = _parse_sheaf(obj.get("total"), "total")
     steps = parse_list(obj.get("steps", []), "steps", _parse_sheaf)
-    fs = FiltrationSpec(arity=arity, multiplicity=multiplicity, total=total, steps=steps)
 
     delta = obj.get("delta")
     if mode == "slope":
@@ -108,7 +104,9 @@ def parse_instance(
     pivots = parse_list(obj.get("pivots"), "pivots", parse_list)
     if not pivots:
         raise InstanceError("pivots: expected a nonempty list, got []")
-    validate_filtration(fs)  # before the pivots, which are read against its arity and levels
+    # built after the other fields' checks and before the pivots, which are
+    # read against its arity and levels; building it validates it
+    fs = FiltrationSpec(arity=arity, multiplicity=multiplicity, total=total, steps=steps)
     ps = PivotSet.from_tuples(pivots, t=fs.t, arity=arity)
 
     weights: Optional[Weights] = None

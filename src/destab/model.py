@@ -71,13 +71,17 @@ class FiltrationSpec:
 
     Steps are normalized to levels 1..s; level t = s+1 denotes the full sheaf.
     The multiplicity b of the decoration is recorded but plays no arithmetic
-    role: only the support pattern of the morphism matters.
+    role: only the support pattern of the morphism matters.  Building a spec
+    validates it (`validate_filtration`), so every spec in hand is valid.
     """
 
     arity: int
     multiplicity: int
     total: SheafData
     steps: tuple[SheafData, ...] = field(default_factory=tuple)
+
+    def __post_init__(self) -> None:
+        validate_filtration(self)
 
     @property
     def s(self) -> int:

@@ -16,7 +16,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from .model import FiltrationSpec, InstanceError, SheafData, StabilityParam, clip
 from .pivots import PivotSet, Tuple_, dominated, ordered_tuples
-from .stability import CheckVerdict, RankedVertices, _decide, ranked_vertices
+from .stability import CheckVerdict, RankedVertices, decide_destabilizing, ranked_vertices
 
 ARITY = 3
 RANK = 3
@@ -123,43 +123,38 @@ def _flag_filtration(tensor: P1Tensor, i: int, j: int) -> FiltrationSpec:
 class P1Verdict:
     semistable: bool
     flags: tuple[tuple[int, int, CheckVerdict], ...]
-    step_conditions: tuple[tuple[int, int, tuple[bool, bool]], ...]
 
 
 def is_semistable_p1(tensor: P1Tensor, strictness: str = "semi") -> P1Verdict:
     """Decide (semi)stability by running all six flag filtrations exactly.
 
     The tensor is (semi)stable when no flag's verdict is `violated`: every
-    minimum >= 0 (semi), > 0 (stable).  The step conditions are only reported,
-    as the minima imply them: the value at a vertex e_i of a flag's weight
-    segment is step i's condition, and each is read off its flag's decide.
+    minimum >= 0 (semi), > 0 (stable).  Each flag's `CheckVerdict` carries its
+    `step_conditions`, which are only reported, as the minima imply them: the
+    value at a vertex e_i of a flag's weight segment is step i's condition.
     """
     return _decide_flags(tensor, strictness, {})
 
 
-Decided = dict[tuple[FiltrationSpec, PivotSet], tuple[CheckVerdict, tuple[bool, ...]]]
+Decided = dict[tuple[FiltrationSpec, PivotSet], CheckVerdict]
 
 
 def _decide_flags(tensor: P1Tensor, strictness: str, decided: Decided) -> P1Verdict:
     """`is_semistable_p1`, deciding each distinct (filtration, pivots) flag once
     through `decided`, which holds only flags of the tensor's delta decided at
     this strictness.  Each decide ranks the flag's `_flag_vertices` instead of
-    solving an LP, and returns the flag's step conditions with its verdict."""
+    solving an LP."""
     validate_p1(tensor)
     sp = StabilityParam.slope(tensor.delta)
     flags = []
-    steps = []
     for i, j in permutations((1, 2, 3), 2):
         ps = flag_pivots(tensor, i, j)
         flag = (_flag_filtration(tensor, i, j), ps)
         if flag not in decided:
-            verdict, conds = _decide(*flag, sp, strictness, _flag_vertices(ps))
-            decided[flag] = verdict, tuple(conds)
-        verdict, conds = decided[flag]
-        flags.append((i, j, verdict))
-        steps.append((i, j, conds))
+            decided[flag] = decide_destabilizing(*flag, sp, strictness, ranked=_flag_vertices(ps))
+        flags.append((i, j, decided[flag]))
     semistable = not any(v.violated for _, _, v in flags)
-    return P1Verdict(semistable, tuple(flags), tuple(steps))
+    return P1Verdict(semistable, tuple(flags))
 
 
 def enumerate_two_pivot_matrices() -> list[tuple[Tuple_, Tuple_]]:

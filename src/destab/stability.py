@@ -19,9 +19,12 @@ splitting test minimizes the total slack.
 `_least` is the second face source: given that zero-cost vertex list
 (`epigraph_vertices`) with integer (w, z) numerators (`ranked_vertices`), it
 keeps the vertices of least integer cost key and returns the list `_face`
-returns, with no LP.  `p1`, whose flags share at most 15 epigraphs, decides by
-ranking them; every other decide solves the LP, which the tests hold the
-ranked route to.
+returns, with no LP.  `decide_destabilizing(..., ranked=...)` takes it in
+place of the LP; `p1`, whose flags share at most 15 epigraphs, decides so,
+and every other decide solves the LP, which the tests hold the ranked route
+to.  Either way the verdict carries the step conditions at its strictness
+(`CheckVerdict.step_conditions`), read off the decide's own cost keys.  A
+`FiltrationSpec` validates itself when built, so nothing here validates it.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .model import (
     StabilityParam,
     guard_limit,
     sheaf_values,
-    validate_filtration,
 )
 from .pivots import PivotSet, Tuple_, matrix_from_pivots, project_pivots
 from .poly import UniPoly
@@ -67,7 +69,6 @@ def _check_instance(
 
 def constants(fs: FiltrationSpec, sp: StabilityParam) -> list[Value]:
     """Per-step linear constants of the stability value."""
-    validate_filtration(fs)
     total, *values = sheaf_values(fs, sp)
     r, a = fs.total.rank, fs.arity
     return [
@@ -194,6 +195,7 @@ class CheckVerdict:
     attaining_pivot: Tuple_
     classification: str
     violated: bool
+    step_conditions: tuple[bool, ...]  # `check_k_semistable`'s, at the verdict's strictness
     boundary_support: Optional[tuple[int, ...]] = None
 
 
@@ -224,16 +226,16 @@ def _step_conditions(keys: list[list[int]], strict: bool) -> list[bool]:
 
 def _start(
     costs: list[list[int]], gs: Sequence[Tuple_], s: int
-) -> tuple[list[IntRow], list[int], list[list[int]]]:
-    """The `_epigraph` rows as written, a feasible basis at the simplex vertex
-    e_i that the cost rows rank cheapest, and the `_vertex_keys`.  The basis
-    holds w_i for the simplex row, z for the row of the first pivot attaining
-    max_p g_p[i], and its own slack for every other pivot's row."""
+) -> tuple[list[IntRow], list[int]]:
+    """The `_epigraph` rows as written and a feasible basis at the simplex
+    vertex e_i whose `_vertex_keys` entry the cost rows rank cheapest.  The
+    basis holds w_i for the simplex row, z for the row of the first pivot
+    attaining max_p g_p[i], and its own slack for every other pivot's row."""
     keys = _vertex_keys(costs, gs, s)
     i = min(range(s), key=keys.__getitem__)
     top = max(g[i] for g in gs)
     k0 = next(k for k, g in enumerate(gs) if g[i] == top)
-    return _epigraph(gs, s), [i] + [s if k == k0 else s + 1 + k for k in range(len(gs))], keys
+    return _epigraph(gs, s), [i] + [s if k == k0 else s + 1 + k for k in range(len(gs))]
 
 
 def _lp_costs(cs: Sequence[Value], rdelta: Value, npiv: int) -> list[list[int]]:
@@ -249,22 +251,18 @@ def _lp_costs(cs: Sequence[Value], rdelta: Value, npiv: int) -> list[list[int]]:
     return [[x.numerator * (scale // x.denominator) for x in row] + [0] * npiv for row in rows]
 
 
-def _face(
-    costs: list[list[int]], gs: Sequence[Tuple_], s: int
-) -> tuple[list[tuple[Fraction, ...]], list[list[int]]]:
+def _face(costs: list[list[int]], gs: Sequence[Tuple_], s: int) -> list[tuple[Fraction, ...]]:
     """Sorted vertices (w, z, slacks) of the epigraph's face where the cost
-    rows are least, with `_start`'s vertex keys: one LP from the basis `_start`
-    picks.  z >= g_p . w >= 0 holds on the whole epigraph, so z's own bound is
-    left out of the search."""
-    tableau, basis, keys = _start(costs, gs, s)
-    face = enumerate_vertices(tableau, basis, simplex(tableau, basis, costs), implied=(s,))
-    return face, keys
+    rows are least: one LP from the basis `_start` picks.  z >= g_p . w >= 0
+    holds on the whole epigraph, so z's own bound is left out of the search."""
+    tableau, basis = _start(costs, gs, s)
+    return enumerate_vertices(tableau, basis, simplex(tableau, basis, costs), implied=(s,))
 
 
 def epigraph_vertices(gs: Sequence[Tuple_], s: int) -> list[tuple[Fraction, ...]]:
     """Every vertex (w, z, slacks) of the epigraph, sorted: the optimal face of
     zero costs, which is the whole epigraph."""
-    return _face([[0] * (s + 1 + len(gs))], gs, s)[0]
+    return _face([[0] * (s + 1 + len(gs))], gs, s)
 
 
 # The sorted epigraph vertices, and their (w, z) coordinates as integer
@@ -318,7 +316,12 @@ def region_minima(
 
 
 def decide_destabilizing(
-    fs: FiltrationSpec, ps: PivotSet, sp: StabilityParam, strictness: str = "semi"
+    fs: FiltrationSpec,
+    ps: PivotSet,
+    sp: StabilityParam,
+    strictness: str = "semi",
+    *,
+    ranked: Optional[RankedVertices] = None,
 ) -> CheckVerdict:
     """Exact minimum of the stability value over the closed weight simplex.
 
@@ -328,15 +331,18 @@ def decide_destabilizing(
     attained at strictly positive weights is marginal, and one attained only on
     the simplex boundary names the subfiltration on the positive coordinates
     (`boundary_support`), which has value 0 at positive weights.
+    `step_conditions` are `check_k_semistable`'s at the same strictness, read
+    off the `_vertex_keys` of the decide's own cost rows.
 
     The value c . w + r delta max_p g_p . w is convex (delta > 0), so its
     minimum is the epigraph LP: minimize c . w + r delta z subject to sum w = 1,
     w >= 0 and z - g_p . w = slack_p >= 0.  The columns with a strictly
     positive reduced cost at the optimum vanish on every optimum; fixing them
-    at zero leaves the optimal face, read off the final tableau.  On the face
-    max_p g_p . w is affine, so each pivot's region meets it in a face: its
-    vertices with slack_p = 0 are exactly the region vertices that reach the
-    minimum.
+    at zero leaves the optimal face, read off the final tableau.  Given the
+    epigraph's `ranked_vertices` (`ranked`), `_least` gives the same face with
+    no LP.  On the face max_p g_p . w is affine, so each pivot's region meets
+    it in a face: its vertices with slack_p = 0 are exactly the region
+    vertices that reach the minimum.
 
     The witness is the lexicographically least of them, and the attaining pivot
     the least pivot with one.  A zero minimum is marginal when the vertices of
@@ -344,21 +350,6 @@ def decide_destabilizing(
     on a face: the face then holds a strictly positive point); the witness is
     then the centroid of the last such region in pivot order.
     """
-    return _decide(fs, ps, sp, strictness)[0]
-
-
-def _decide(
-    fs: FiltrationSpec,
-    ps: PivotSet,
-    sp: StabilityParam,
-    strictness: str,
-    ranked: Optional[RankedVertices] = None,
-) -> tuple[CheckVerdict, list[bool]]:
-    """`decide_destabilizing`'s verdict and `check_k_semistable`'s step
-    conditions at its strictness, decoded from the `_vertex_keys` of its cost
-    rows.  The optimal face comes from the LP, or, given the epigraph's
-    `ranked_vertices`, from `_least`; both give the same list, and everything
-    after it is shared."""
     if strictness not in ("semi", "stable"):
         raise InstanceError(f"unknown strictness {strictness!r}")
     cs = constants(fs, sp)
@@ -366,10 +357,7 @@ def _decide(
     s = fs.s
     gs = list(_pivot_coeffs(ps, s).values())
     costs = _lp_costs(cs, fs.total.rank * sp.delta, len(gs))
-    if ranked is None:
-        face, keys = _face(costs, gs, s)
-    else:
-        face, keys = _least(costs, ranked), _vertex_keys(costs, gs, s)
+    face = _face(costs, gs, s) if ranked is None else _least(costs, ranked)
     regions = [(p, [v for v in face if v[s + 1 + k] == 0]) for k, p in enumerate(ps.pivots)]
     regions = [(p, vs) for p, vs in regions if vs]
 
@@ -388,9 +376,12 @@ def _decide(
                 classification, witness = MARGINALLY_DESTABILIZED, centroid
         if classification == BOUNDARY_WITNESS:
             boundary = tuple(i + 1 for i, c in enumerate(witness) if c > 0)
-    violated = violates(min_value, strictness == "stable")
-    verdict = CheckVerdict(min_value, witness, regions[0][0], classification, violated, boundary)
-    return verdict, _step_conditions(keys, strictness == "stable")
+    strict = strictness == "stable"
+    conditions = tuple(_step_conditions(_vertex_keys(costs, gs, s), strict))
+    return CheckVerdict(
+        min_value, witness, regions[0][0], classification, violates(min_value, strict),
+        conditions, boundary,
+    )
 
 
 def reduce_destabilizer(
@@ -432,13 +423,12 @@ def check_splitting(
     A nontrivial intersection of the equal-maximum subspace with the
     nonnegative orthant certifies that the filtration splits.
     """
-    validate_filtration(fs)
     _check_instance(fs, ps)
     s = fs.s
     gs = list(_pivot_coeffs(ps, s).values())
     # All pivot sums are equal where every slack z - g_p . w is zero: when the
     # least total slack is 0, the optimal face is that polytope.
-    face, _ = _face([[0] * (s + 1) + [1] * len(gs)], gs, s)
+    face = _face([[0] * (s + 1) + [1] * len(gs)], gs, s)
     if any(face[0][s + 1 :]):
         return False, None
     return True, face[0][:s]

@@ -12,7 +12,8 @@ minimum over all of them; `check_splitting` enumerates the polytope of equal
 pivot sums.  The library's zero-cost, least-value and least-slack LPs must
 return exactly what they return.  `check_k_semistable` computes the step
 conditions from the formula c_i + r delta k_i (`step_values`); the library
-reads them off the decide's integer cost keys.  `p1_hull` decides a p1 tensor
+reads them off the decide's integer cost keys, and `decide_destabilizing` fills
+its verdict's `step_conditions` from the formula.  `p1_hull` decides a p1 tensor
 by the torus hull test instead of its six flags.  `flag_pivots` is the
 original p1 flag pivot extraction through the full 0/1 table; the library
 derives the pivots directly from the support's levels.
@@ -177,8 +178,12 @@ def decide_destabilizing(fs, ps, sp, strictness="semi", kernel=enumerate_vertice
     else:
         classification = BOUNDARY_WITNESS
         boundary = tuple(i + 1 for i, c in enumerate(witness) if c > 0)
-    violated = best_value < 0 or (strictness == "stable" and not best_value > 0)
-    return CheckVerdict(best_value, witness, best_pivot, classification, violated, boundary)
+    strict = strictness == "stable"
+    violated = best_value < 0 or (strict and not best_value > 0)
+    conditions = tuple(check_k_semistable(fs, ps, sp, strict))
+    return CheckVerdict(
+        best_value, witness, best_pivot, classification, violated, conditions, boundary
+    )
 
 
 def check_splitting(fs, ps):

@@ -21,7 +21,7 @@ from destab.p1 import (
     tensor_count,
     validate_p1,
 )
-from destab.stability import _decide, check_k_semistable, decide_destabilizing
+from destab.stability import check_k_semistable, decide_destabilizing
 from util import level_set_instance
 
 
@@ -103,7 +103,7 @@ def test_trivial_bundle_diagonal_support_is_semistable():
     verdict = is_semistable_p1(tensor((0, 0, 0), [(1, 2, 3)]))
     assert verdict.semistable
     assert all(not v.violated for _, _, v in verdict.flags)
-    assert all(all(conds) for _, _, conds in verdict.step_conditions)
+    assert all(all(v.step_conditions) for _, _, v in verdict.flags)
 
 
 def test_trivial_bundle_concentrated_support_is_not_semistable():
@@ -136,14 +136,14 @@ def test_two_factor_flag_counterexample_to_length_one_sufficiency():
     assert bad.violated and bad.min_value == Fraction(-1)
     assert flag_pivots(t, 3, 1).pivots == ((1, 3, 3), (2, 2, 2))
     # Each individual step condition nevertheless passes.
-    assert all(all(conds) for _, _, conds in verdict.step_conditions)
+    assert all(all(v.step_conditions) for _, _, v in verdict.flags)
 
 
 def test_nontrivial_bundle_single_support_violates_middle_flag():
     t = tensor((-2, 1, 1), [(1, 3, 3)])
     verdict = is_semistable_p1(t)
     assert not verdict.semistable
-    conds = {(i, j): c for i, j, c in verdict.step_conditions}
+    conds = {(i, j): v.step_conditions for i, j, v in verdict.flags}
     assert not conds[(2, 1)][0]  # the L_2 step fails its length-one condition
 
 
@@ -199,7 +199,7 @@ def test_stable_verdict_reads_off_the_minima_alone():
     assert set(zeros) == {(1, 3), (2, 1), (2, 3), (3, 1)}
     assert all(v.classification == "boundary-witness" for v in zeros.values())
     assert all(v.violated for v in zeros.values())
-    conds = {(i, j): c for i, j, c in verdict.step_conditions}
+    conds = {(i, j): v.step_conditions for i, j, v in verdict.flags}
     assert all(not all(conds[flag]) for flag in zeros)
 
 
@@ -220,13 +220,11 @@ def test_minima_verdict_matches_the_step_condition_route(strictness):
     for degrees, support in _bounded_universe(2)[::17]:
         for delta in (Fraction(1, 2), Fraction(1), Fraction(2)):
             verdict = is_semistable_p1(tensor(degrees, support, delta), strictness)
-            for (_, _, v), (_, _, conds) in zip(verdict.flags, verdict.step_conditions):
+            for _, _, v in verdict.flags:
                 zero_fails = strictness == "stable" and v.min_value == 0
                 assert v.violated == (v.min_value < 0 or zero_fails)
-                assert all(conds) or v.violated
-            expected = all(not v.violated for _, _, v in verdict.flags) and all(
-                all(conds) for _, _, conds in verdict.step_conditions
-            )
+                assert all(v.step_conditions) or v.violated
+            expected = all(not v.violated and all(v.step_conditions) for _, _, v in verdict.flags)
             assert verdict.semistable == expected
 
 
@@ -249,10 +247,10 @@ def test_step_conditions_match_check_k_semistable_flag_by_flag(strictness):
         for delta in (Fraction(1, 2), Fraction(1), Fraction(2)):
             t = tensor(degrees, support, delta)
             sp = StabilityParam.slope(delta)
-            for i, j, conds in is_semistable_p1(t, strictness).step_conditions:
+            for i, j, v in is_semistable_p1(t, strictness).flags:
                 fs, ps = _flag_filtration(t, i, j), flag_pivots(t, i, j)
                 formula = oracles.check_k_semistable(fs, ps, sp, strictness == "stable")
-                assert list(conds) == formula
+                assert list(v.step_conditions) == formula
 
 
 def test_classify_rows_match_per_tensor_verdicts():
@@ -264,8 +262,9 @@ def test_classify_rows_match_per_tensor_verdicts():
 def test_ranked_decide_matches_the_lp_on_every_bound_2_flag():
     # p1 ranks the cached vertices of each flag's epigraph instead of solving
     # an LP; the LP decide is the oracle, on every distinct flag of the
-    # bound-2 universe, at five deltas and in both strictnesses.  Both routes'
-    # step conditions and check_k_semistable's follow the formula.
+    # bound-2 universe, at five deltas and in both strictnesses.  The verdicts
+    # carry their step conditions, which follow the formula as
+    # check_k_semistable's do.
     flags = {
         (_flag_filtration(t, i, j), flag_pivots(t, i, j)): None
         for t in (tensor(degrees, support) for degrees, support in _bounded_universe(2))
@@ -278,10 +277,10 @@ def test_ranked_decide_matches_the_lp_on_every_bound_2_flag():
             for strictness in ("semi", "stable"):
                 strict = strictness == "stable"
                 formula = oracles.check_k_semistable(fs, ps, sp, strict)
-                lp, lp_conds = _decide(fs, ps, sp, strictness)
-                ranked, ranked_conds = _decide(fs, ps, sp, strictness, _flag_vertices(ps))
+                lp = decide_destabilizing(fs, ps, sp, strictness)
+                ranked = decide_destabilizing(fs, ps, sp, strictness, ranked=_flag_vertices(ps))
                 assert repr(ranked) == repr(lp)
-                assert ranked_conds == lp_conds == check_k_semistable(fs, ps, sp, strict) == formula
+                assert list(lp.step_conditions) == check_k_semistable(fs, ps, sp, strict) == formula
 
 
 def test_flag_caches_stay_on_their_finite_domains():

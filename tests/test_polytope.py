@@ -151,3 +151,9 @@ def test_core_results_match_through_the_oracle_kernel(monkeypatch):
     monkeypatch.setattr(destab.polytope, "solve_unique", kernel)
     assert _core_results(instances) == fast
     assert len(calls) >= 4 * len(instances)  # every result went through the oracle
+
+
+def test_simplex_refuses_an_unbounded_objective():
+    # x0 = x1 >= 0 with cost -x0 - x1 decreases without bound along x1.
+    with pytest.raises(ValueError, match="^the objective is unbounded below$"):
+        destab.polytope.simplex([[1, -1, 0]], [0], [[-1, -1]])

@@ -26,7 +26,6 @@ from destab import (
     project_pivots,
     r_value,
     reduce_destabilizer,
-    validate_filtration,
 )
 from destab.pivots import ordered_tuples
 from destab.stability import (
@@ -52,14 +51,25 @@ def simple(ranks, degrees, r, d, arity=2, delta=1):
 
 
 def test_validate_filtration_errors():
-    fs, _ = simple([2, 1], [0, 0], 4, 0)
+    # A spec validates itself when built.
     with pytest.raises(InstanceError):
-        validate_filtration(fs)
-    fs, _ = simple([4], [0], 4, 0)
+        simple([2, 1], [0, 0], 4, 0)
     with pytest.raises(InstanceError):
-        validate_filtration(fs)
+        simple([4], [0], 4, 0)
     with pytest.raises(InstanceError):
         StabilityParam.slope(0)
+
+
+def test_substeps_keeps_only_existing_levels():
+    fs, _ = simple([1, 2], [0, 0], 4, 0)
+    with pytest.raises(InstanceError, match=r"^kept levels must lie in 1\.\.s$"):
+        fs.substeps([0])
+
+
+def test_constants_refuses_an_unknown_mode():
+    fs, _ = simple([1], [0], 2, 0)
+    with pytest.raises(InstanceError, match="^unknown mode 'bogus'$"):
+        constants(fs, StabilityParam(mode="bogus", delta=F(1)))
 
 
 def test_constants_rank6():
@@ -443,7 +453,8 @@ def test_prune_never_raises_the_value():
         ps = random_pivots(rng, fs.arity, fs.t)
         sp = StabilityParam.slope(F(rng.randint(1, 4), rng.randint(1, 3)))
         kept = [lvl for lvl, c in enumerate(constants(fs, sp), start=1) if c < 0]
-        pruned_fs, pruned_ps = fs.substeps(kept), project_pivots(ps, kept)
+        if kept:  # no spec has zero steps
+            pruned_fs, pruned_ps = fs.substeps(kept), project_pivots(ps, kept)
         for _ in range(20):
             w = random_weights(rng, fs.s)
             full = objective(fs, ps, w, sp)
