@@ -46,23 +46,26 @@ class SheafData:
 
 @dataclass(frozen=True)
 class StabilityParam:
-    """A positive rational (slope mode) or asymptotically positive polynomial."""
+    """One δ, a rational or a polynomial; its type is the mode."""
 
-    mode: str  # "slope" | "hilbert"
     delta: Union[Fraction, UniPoly]
+
+    @property
+    def mode(self) -> str:
+        return "hilbert" if isinstance(self.delta, UniPoly) else "slope"
 
     @staticmethod
     def slope(value) -> "StabilityParam":
         value = Fraction(value)
         if value <= 0:
             raise InstanceError("delta: slope parameter must be positive")
-        return StabilityParam(mode="slope", delta=value)
+        return StabilityParam(delta=value)
 
     @staticmethod
     def hilbert(poly: UniPoly) -> "StabilityParam":
         if poly.leading <= 0:
             raise InstanceError("delta: polynomial parameter needs a positive leading coefficient")
-        return StabilityParam(mode="hilbert", delta=poly)
+        return StabilityParam(delta=poly)
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,6 @@ def sheaf_values(fs: FiltrationSpec, sp: StabilityParam) -> list[Union[int, UniP
     sheaves = (fs.total, *fs.steps)
     if sp.mode == "slope":
         return [sd.degree for sd in sheaves]
-    if sp.mode != "hilbert":
-        raise InstanceError(f"unknown mode {sp.mode!r}")
     missing = next((k for k, sd in enumerate(sheaves) if sd.hilbert is None), None)
     if missing is not None:
         path = f"steps[{missing - 1}]" if missing else "total"

@@ -136,23 +136,24 @@ def is_semistable_p1(tensor: P1Tensor, strictness: str = "semi") -> P1Verdict:
     return _decide_flags(tensor, strictness, {})
 
 
-Decided = dict[tuple[FiltrationSpec, PivotSet], CheckVerdict]
+Decided = dict[tuple[int, int, PivotSet], CheckVerdict]  # (d_i, d_j, pivots) -> verdict
 
 
 def _decide_flags(tensor: P1Tensor, strictness: str, decided: Decided) -> P1Verdict:
-    """`is_semistable_p1`, deciding each distinct (filtration, pivots) flag once
-    through `decided`, which holds only flags of the tensor's delta decided at
-    this strictness.  Each decide ranks the flag's `_flag_vertices` instead of
-    solving an LP."""
+    """`is_semistable_p1` through `decided`, which keys each flag of the
+    tensor's delta at this strictness by its two degrees and its pivot set.
+    A flag's filtration is built only when it is decided, once, by ranking
+    its `_flag_vertices` instead of solving an LP."""
     validate_p1(tensor)
     sp = StabilityParam.slope(tensor.delta)
     flags = []
     for i, j in permutations((1, 2, 3), 2):
         ps = flag_pivots(tensor, i, j)
-        flag = (_flag_filtration(tensor, i, j), ps)
-        if flag not in decided:
-            decided[flag] = decide_destabilizing(*flag, sp, strictness, ranked=_flag_vertices(ps))
-        flags.append((i, j, decided[flag]))
+        key = (tensor.degrees[i - 1], tensor.degrees[j - 1], ps)
+        if key not in decided:
+            fs = _flag_filtration(tensor, i, j)
+            decided[key] = decide_destabilizing(fs, ps, sp, strictness, ranked=_flag_vertices(ps))
+        flags.append((i, j, decided[key]))
     semistable = not any(v.violated for _, _, v in flags)
     return P1Verdict(semistable, tuple(flags))
 

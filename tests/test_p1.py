@@ -5,6 +5,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 import oracles
 import pytest
 
+from destab import p1
 from destab.model import InstanceError, StabilityParam
 from destab.p1 import (
     P1Tensor,
@@ -251,6 +252,26 @@ def test_step_conditions_match_check_k_semistable_flag_by_flag(strictness):
                 fs, ps = _flag_filtration(t, i, j), flag_pivots(t, i, j)
                 formula = oracles.check_k_semistable(fs, ps, sp, strictness == "stable")
                 assert list(v.step_conditions) == formula
+
+
+def test_classify_builds_a_flag_filtration_only_for_a_decide(monkeypatch):
+    # Flags are keyed by (d_i, d_j, pivots), so classify builds one
+    # filtration per distinct flag: the 222 of the bound-2 universe.
+    calls = {"_flag_filtration": 0, "decide_destabilizing": 0}
+
+    def counting(name):
+        inner = getattr(p1, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(p1, name, counting(name))
+    classify(Fraction(1), 2)
+    assert calls == {"_flag_filtration": 222, "decide_destabilizing": 222}
 
 
 def test_classify_rows_match_per_tensor_verdicts():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -66,10 +67,10 @@ def test_substeps_keeps_only_existing_levels():
         fs.substeps([0])
 
 
-def test_constants_refuses_an_unknown_mode():
-    fs, _ = simple([1], [0], 2, 0)
-    with pytest.raises(InstanceError, match="^unknown mode 'bogus'$"):
-        constants(fs, StabilityParam(mode="bogus", delta=F(1)))
+def test_stability_param_holds_delta_alone_and_reads_its_mode_off_its_type():
+    assert [f.name for f in dataclasses.fields(StabilityParam)] == ["delta"]
+    assert StabilityParam.slope(F(1, 2)).mode == "slope"
+    assert StabilityParam.hilbert(UniPoly.from_coeffs([0, 1])).mode == "hilbert"
 
 
 def test_constants_rank6():
